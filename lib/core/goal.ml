@@ -2,6 +2,7 @@ type t = Fast_first | Total_time
 
 type controlling_node = Exists | Limit of int | Sort | Aggregate | Cursor
 
+(* The paper's rule; [Cursor] gives [None] (no inference). *)
 let of_controlling_node = function
   | Exists | Limit _ -> Some Fast_first
   | Sort | Aggregate -> Some Total_time

@@ -16,9 +16,6 @@ type controlling_node =
   | Aggregate
   | Cursor  (** plain cursor / top-level result delivery *)
 
-val of_controlling_node : controlling_node -> t option
-(** The paper's rule; [Cursor] gives [None] (no inference). *)
-
 val resolve :
   ?explicit:t -> ?context:controlling_node -> default:t -> unit -> t * string
 (** Inference first, then the explicit user request, then the default.

@@ -13,6 +13,7 @@ type classified = {
 
 type decision = No_rows of string | Arranged of classified
 
+(* Estimates at or below this stop further estimation. *)
 let shortcut_threshold = 16
 
 (* Forward a health transition to the pool metrics and the trace. *)

@@ -33,9 +33,6 @@ type decision =
   | No_rows of string  (** empty range: cancel all stages *)
   | Arranged of classified
 
-val shortcut_threshold : int
-(** Estimates at or below this stop further estimation (16). *)
-
 val run :
   Table.t ->
   Cost.t ->

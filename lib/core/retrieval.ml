@@ -6,10 +6,7 @@ open Rdb_storage
 
 type config = {
   jscan : Jscan.config;
-  fgr_buffer_cap : int;
-  fgr_waste_cap : float;
   speed_ratio : float;
-  default_goal : Goal.t;
   retry_limit : int;
       (** consecutive faulted quanta tolerated before a transient fault
           is escalated to the non-retriable policy *)
@@ -41,10 +38,7 @@ type config = {
 let default_config =
   {
     jscan = Jscan.default_config;
-    fgr_buffer_cap = 512;
-    fgr_waste_cap = 0.5;
     speed_ratio = 1.0;
-    default_goal = Goal.Total_time;
     retry_limit = 8;
     batch_budget = 0.0;
     bgr_enabled = true;
@@ -119,50 +113,6 @@ type summary = {
   trace : Trace.event list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Stage-2 machinery shared by background-bearing tactics              *)
-(* ------------------------------------------------------------------ *)
-
-type stage2 = S_final of Final_stage.t | S_tscan of Tscan.t
-
-type fast_first = {
-  ff_jscan : Jscan.t;
-  ff_delivered : (Rid.t, unit) Hashtbl.t;
-  mutable ff_active : bool;  (** foreground still running *)
-  mutable ff_wasted : int;  (** fetches rejected by the restriction *)
-  mutable ff_stage2 : stage2 option;
-}
-
-type sorted_t = {
-  so_fscan : Fscan.t;
-  so_jscan : Jscan.t;
-  mutable so_bgr_active : bool;
-}
-
-type index_only = {
-  io_sscan : Sscan.t;
-  io_cand : Scan.candidate;
-  io_jscan : Jscan.t;
-  io_delivered : (Rid.t, unit) Hashtbl.t;
-  mutable io_bgr_active : bool;
-  mutable io_stage2 : stage2 option;
-}
-
-type bg_only = { bg_jscan : Jscan.t; mutable bg_stage2 : stage2 option }
-
-type union_t = { un_scan : Uscan.t; mutable un_stage2 : stage2 option }
-
-type machine =
-  | M_tscan of Tscan.t
-  | M_sscan of Sscan.t
-  | M_fscan of Fscan.t
-  | M_bg_only of bg_only
-  | M_fast_first of fast_first
-  | M_sorted of sorted_t
-  | M_index_only of index_only
-  | M_union of union_t
-  | M_empty
-
 type cursor = {
   table : Table.t;
   cfg : config;
@@ -171,10 +121,13 @@ type cursor = {
   goal : Goal.t;
   goal_provenance : string;
   restriction : Predicate.t;  (** bound *)
-  mutable machine : machine;  (** mutable: fault fallback swaps in a Tscan *)
   mutable tac : Tactic.t;
-      (** the machine's behavior as a composed tactic (DESIGN.md §17);
-          rebuilt whenever [machine] is swapped *)
+      (** the retrieval's only execution state: the composed tactic
+          (DESIGN.md §17) that {!build} assembled for [tactic]; the
+          Tscan fallback installs a new one *)
+  mutable drops : (unit -> unit) list;
+      (** the page-handle cache drops of the scans [tac] steps, run on
+          every batch boundary; replaced together with [tac] *)
   fgr_meter : Cost.t;
   bgr_meter : Cost.t;
   est_meter : Cost.t;
@@ -195,8 +148,8 @@ type cursor = {
       (** set at fault fallback: the replacement Tscan must not
           re-deliver rows the faulted scan already produced *)
   mutable driver : Driver.t option;
-      (** the shared cursor driver pumping the machine; installed right
-          after construction (it closes over this record).
+      (** the shared cursor driver pumping [tac]; installed by the
+          first quantum (it closes over this record).
           Consecutive-fault counting lives in the driver *)
   mutable inbox : (Rid.t * Row.t) list;
       (** batch rows accepted but not yet handed to [step] *)
@@ -222,6 +175,10 @@ let total_cost c =
 (* Tactic selection                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The candidates of [cands] on an index other than [cand]'s. *)
+let other_than (cand : Scan.candidate) cands =
+  List.filter (fun c -> c.Scan.idx.Table.idx_name <> cand.Scan.idx.Table.idx_name) cands
+
 let covering_sscan_choice table (classified : Initial_stage.classified) =
   (* Cheapest self-sufficient scan, compared against Tscan. *)
   match classified.Initial_stage.self_sufficient with
@@ -233,15 +190,12 @@ let covering_sscan_choice table (classified : Initial_stage.classified) =
       in
       if cost best <= Cost_model.tscan_cost table then Some best else None
 
-let fetch_needed_candidates classified =
-  classified.Initial_stage.jscan_candidates
-
 let decide table goal ~bgr ~order_by ~(classified : Initial_stage.classified) trace =
   let emit tactic reason =
     Trace.emit trace (Trace.Tactic_chosen { tactic = tactic_to_string tactic; reason });
     tactic
   in
-  let cands = fetch_needed_candidates classified in
+  let cands = classified.Initial_stage.jscan_candidates in
   let best_ss = covering_sscan_choice table classified in
   let order_idx = classified.Initial_stage.order_index in
   match (goal, order_by, order_idx) with
@@ -250,16 +204,14 @@ let decide table goal ~bgr ~order_by ~(classified : Initial_stage.classified) tr
          || best_ss = None ->
       (* Order-providing fetch-needed index: sorted tactic if any other
          index can build a filter, else classical Fscan. *)
-      let others =
-        List.filter (fun c -> c.Scan.idx.Table.idx_name <> oi.Scan.idx.Table.idx_name) cands
-      in
-      if others = [] then emit Static_fscan "only the order-needed index is useful"
+      if other_than oi cands = [] then
+        emit Static_fscan "only the order-needed index is useful"
       else if not bgr then
         emit Static_fscan "background refinement disabled (overload degradation)"
       else emit Sorted_tactic "order-delivering Fscan with filter-delivering Jscan"
   | _ -> (
       match (best_ss, cands) with
-      | Some ss, others when List.exists (fun c -> c.Scan.idx.Table.idx_name <> ss.Scan.idx.Table.idx_name) others ->
+      | Some ss, others when other_than ss others <> [] ->
           if not bgr then
             emit Static_sscan "background refinement disabled (overload degradation)"
           else emit Index_only_tactic "self-sufficient Sscan competes with Jscan"
@@ -273,142 +225,28 @@ let decide table goal ~bgr ~order_by ~(classified : Initial_stage.classified) tr
           | Goal.Total_time -> emit Background_only "total-time with fetch-needed indexes"
           | Goal.Fast_first -> emit Fast_first_tactic "fast-first with fetch-needed indexes"))
 
-(* ------------------------------------------------------------------ *)
-(* Machine construction                                                *)
-(* ------------------------------------------------------------------ *)
-
-let sscan_candidate_of classified table =
-  match covering_sscan_choice table classified with
-  | Some c -> c
-  | None -> (
-      match classified.Initial_stage.self_sufficient with
-      | c :: _ -> c
-      | [] -> invalid_arg "sscan_candidate_of: no self-sufficient index")
-
-let build_machine cursor_cfg table trace restriction
-    ~(classified : Initial_stage.classified) ~fgr_meter ~bgr_meter tactic =
-  match tactic with
-  | Cancelled -> M_empty
-  | Static_tscan -> M_tscan (Tscan.create table fgr_meter restriction)
-  | Static_sscan ->
-      let cand = sscan_candidate_of classified table in
-      M_sscan (Sscan.create table fgr_meter cand ~restriction)
-  | Static_fscan -> (
-      match classified.Initial_stage.order_index with
-      | Some oi -> M_fscan (Fscan.create table fgr_meter oi ~restriction)
-      | None -> (
-          match classified.Initial_stage.jscan_candidates with
-          | c :: _ -> M_fscan (Fscan.create table fgr_meter c ~restriction)
-          | [] -> M_tscan (Tscan.create table fgr_meter restriction)))
-  | Background_only ->
-      let jscan =
-        Jscan.create table bgr_meter cursor_cfg.jscan trace
-          ~candidates:classified.Initial_stage.jscan_candidates
-      in
-      M_bg_only { bg_jscan = jscan; bg_stage2 = None }
-  | Fast_first_tactic ->
-      let jscan =
-        Jscan.create table bgr_meter cursor_cfg.jscan trace
-          ~candidates:classified.Initial_stage.jscan_candidates
-      in
-      M_fast_first
-        {
-          ff_jscan = jscan;
-          ff_delivered = Hashtbl.create 64;
-          ff_active = true;
-          ff_wasted = 0;
-          ff_stage2 = None;
-        }
-  | Sorted_tactic -> (
-      match classified.Initial_stage.order_index with
-      | None -> invalid_arg "sorted tactic without order index"
-      | Some oi ->
-          let others =
-            List.filter
-              (fun c -> c.Scan.idx.Table.idx_name <> oi.Scan.idx.Table.idx_name)
-              classified.Initial_stage.jscan_candidates
-          in
-          (* The background Jscan builds a *filter*: it competes
-             against the foreground Fscan's remaining cost (scan plus
-             one fetch per in-range entry), not against a Tscan. *)
-          let fscan_cost =
-            Cost_model.index_scan_cost oi.Scan.idx ~entries:oi.Scan.est
-            +. Cost_model.key_order_fetch_cost table oi.Scan.idx ~entries:oi.Scan.est
-          in
-          let jscan_cfg =
-            {
-              cursor_cfg.jscan with
-              Jscan.filter_only = true;
-              initial_guaranteed_best = Some fscan_cost;
-            }
-          in
-          let jscan = Jscan.create table bgr_meter jscan_cfg trace ~candidates:others in
-          M_sorted
-            {
-              so_fscan = Fscan.create table fgr_meter oi ~restriction;
-              so_jscan = jscan;
-              so_bgr_active = true;
-            })
+(* Tactics whose background process competes with (or replaces) the
+   foreground: they can quarantine a faulted competitor, and [close]
+   reports their foreground and background spans separately. *)
+let background_bearing = function
+  | Background_only | Fast_first_tactic | Sorted_tactic | Index_only_tactic
   | Union_tactic ->
-      let cfg =
-        {
-          Uscan.default_config with
-          Uscan.switch_ratio = cursor_cfg.jscan.Jscan.switch_ratio;
-          memory_budget = cursor_cfg.jscan.Jscan.memory_budget;
-        }
-      in
-      let us =
-        Uscan.create table bgr_meter cfg trace
-          ~disjuncts:classified.Initial_stage.union_candidates
-      in
-      M_union { un_scan = us; un_stage2 = None }
-  | Index_only_tactic ->
-      let cand = sscan_candidate_of classified table in
-      let others =
-        List.filter
-          (fun c -> c.Scan.idx.Table.idx_name <> cand.Scan.idx.Table.idx_name)
-          classified.Initial_stage.jscan_candidates
-      in
-      let jscan = Jscan.create table bgr_meter cursor_cfg.jscan trace ~candidates:others in
-      M_index_only
-        {
-          io_sscan = Sscan.create table fgr_meter cand ~restriction;
-          io_cand = cand;
-          io_jscan = jscan;
-          io_delivered = Hashtbl.create 64;
-          io_bgr_active = true;
-          io_stage2 = None;
-        }
+      true
+  | Static_tscan | Static_sscan | Static_fscan | Cancelled -> false
 
 (* ------------------------------------------------------------------ *)
-(* Stepping                                                            *)
+(* Tactic construction                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let step_stage2 table restriction delivered stage2 =
-  match stage2 with
-  | S_final f -> Final_stage.step f
-  | S_tscan t -> (
-      match Tscan.step t with
-      | Scan.Deliver (rid, _) when Hashtbl.mem delivered rid -> Scan.Continue
-      | s ->
-          ignore table;
-          ignore restriction;
-          s)
+(* Foreground delivered-RID buffer capacity: overflow stops the
+   fast-first foreground, or the index-only background. *)
+let fgr_buffer_cap = 512
 
-let make_stage2 c outcome ~delivered =
-  let exclude rid = Hashtbl.mem delivered rid in
-  match outcome with
-  | Jscan.Rid_list rids ->
-      Trace.emit c.trace
-        (Trace.Final_stage { rids = Array.length rids; filtered_delivered = Hashtbl.length delivered });
-      S_final
-        (Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction ~exclude)
-  | Jscan.Recommend_tscan _ -> S_tscan (Tscan.create c.table c.bgr_meter c.restriction)
+(* Stop the fast-first foreground once its wasted-fetch cost exceeds
+   this fraction of the background's guaranteed best. *)
+let fgr_waste_cap = 0.5
 
-let fgr_cost c = Cost.total c.fgr_meter
-let bgr_cost c = Cost.total c.bgr_meter
-
-let prefer_fgr c = fgr_cost c <= bgr_cost c *. c.cfg.speed_ratio
+let prefer_fgr c = Cost.total c.fgr_meter <= Cost.total c.bgr_meter *. c.cfg.speed_ratio
 
 (* A background competitor faulted this quantum: park its quarantine
    action for the fault policy (which decides retry vs quarantine) and
@@ -418,220 +256,257 @@ let bg_failed c quarantine f =
   c.pending_bg <- Some quarantine;
   Scan.Failed f
 
-(* Successor thunk for [Tactic.then_]: build the final stage from the
-   settled background outcome (the [Final_stage] trace event fires
-   here, in the switch quantum, exactly as the bespoke machines
-   emitted it) and step it from then on.  [store] parks the stage on
-   the machine record so the batch-boundary cache drop can reach it. *)
-let stage2_successor c ~delivered ~store outcome =
-  let s2 = make_stage2 c outcome ~delivered in
-  store s2;
-  fun () -> step_stage2 c.table c.restriction delivered s2
+(* Page-handle caches are only sound within one batch: each scan that
+   holds one registers its drop as it is created, and the cursor runs
+   every registered drop on each batch boundary. *)
+let on_batch c drop = c.drops <- drop :: c.drops
 
-(* One quantum of the fast-first foreground phase.  The background
-   Jscan is always advanced first (it is also the RID source); the
-   foreground additionally borrows a RID when its spent cost lags the
-   background's.  The bg-step + borrow pairing stays one arm on
-   purpose: §7's fast-first couples the two inside a single quantum,
-   which a per-quantum [Tactic.race] cannot express — the one
-   deliberate exception noted in DESIGN.md §17. *)
-let fast_first_phase1 c ff =
-  match Jscan.step ff.ff_jscan with
-  | `Faulted f -> bg_failed c (Jscan.quarantine ff.ff_jscan) f
-  | `Finished _ ->
-      if ff.ff_active then
-        Trace.emit c.trace (Trace.Foreground_stopped { reason = "background completed" });
-      ff.ff_active <- false;
-      Scan.Done
-  | `Working ->
-      if ff.ff_active && prefer_fgr c then begin
-        match Jscan.borrow ff.ff_jscan with
+let tscan c =
+  let t = Tscan.create c.table c.fgr_meter c.restriction in
+  fun () -> Tscan.step t
+
+let fscan c cand =
+  let f = Fscan.create c.table c.fgr_meter cand ~restriction:c.restriction in
+  on_batch c (fun () -> Fscan.drop_cache f);
+  f
+
+let jscan c candidates = Jscan.create c.table c.bgr_meter c.cfg.jscan c.trace ~candidates
+
+(* A background Jscan as a first phase: [Done] once it settled. *)
+let jscan_phase c j () =
+  match Jscan.step j with
+  | `Working -> Scan.Continue
+  | `Faulted f -> bg_failed c (Jscan.quarantine j) f
+  | `Finished _ -> Scan.Done
+
+(* Figure 4's final stage over a sure RID list, skipping rows the
+   foreground already delivered. *)
+let final_stage c ~delivered rids =
+  Trace.emit c.trace
+    (Trace.Final_stage
+       { rids = Array.length rids; filtered_delivered = Hashtbl.length delivered });
+  let fs =
+    Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction
+      ~exclude:(fun rid -> Hashtbl.mem delivered rid)
+  in
+  on_batch c (fun () -> Final_stage.drop_cache fs);
+  fun () -> Final_stage.step fs
+
+(* Successor thunk for [Tactic.then_]: the stage that follows a settled
+   background — the final stage over its RID list (its trace event
+   fires here, in the switch quantum), or a Tscan that skips delivered
+   rows when the background recommended one. *)
+let stage2 c ~delivered outcome () =
+  match outcome () with
+  | Jscan.Rid_list rids -> final_stage c ~delivered rids
+  | Jscan.Recommend_tscan _ -> (
+      let t = Tscan.create c.table c.bgr_meter c.restriction in
+      fun () ->
+        match Tscan.step t with
+        | Scan.Deliver (rid, _) when Hashtbl.mem delivered rid -> Scan.Continue
+        | s -> s)
+
+(* Fast-first: the background Jscan is always advanced first (it is
+   also the RID source); the foreground additionally borrows a RID when
+   its spent cost lags the background's, until the buffer overflows,
+   its wasted fetches exceed the competition cap, or the background
+   completes — then the final stage.  The bg-step + borrow pairing
+   stays one arm on purpose: §7's fast-first couples the two inside a
+   single quantum, which a per-quantum [Tactic.race] cannot express —
+   the one deliberate exception noted in DESIGN.md §17. *)
+let fast_first c j =
+  let delivered = Hashtbl.create 64 in
+  let active = ref true and wasted = ref 0 in
+  let stop reason =
+    active := false;
+    Trace.emit c.trace (Trace.Foreground_stopped { reason })
+  in
+  let borrow () =
+    match Jscan.borrow j with
+    | None -> Scan.Continue
+    | Some rid when Hashtbl.mem delivered rid -> Scan.Continue
+    | Some rid -> (
+        (* A faulted borrowed fetch is reported as a *foreground* heap
+           fault; the borrowed RID is not replayed, which is safe — any
+           true result row it names is still owed by the final stage
+           (or the Tscan fallback), which excludes only delivered
+           rows. *)
+        match Heap_file.fetch (Table.heap c.table) c.fgr_meter rid with
+        | exception Fault.Injected f -> Scan.Failed f
         | None -> Scan.Continue
-        | Some rid ->
-            if Hashtbl.mem ff.ff_delivered rid then Scan.Continue
-            else begin
-              (* A faulted borrowed fetch is reported as a
-                 *foreground* heap fault; the borrowed RID is not
-                 replayed, which is safe — any true result row it
-                 names is still owed by the final stage (or the
-                 Tscan fallback), which excludes only delivered
-                 rows. *)
-              match Heap_file.fetch (Table.heap c.table) c.fgr_meter rid with
-              | exception Fault.Injected f -> Scan.Failed f
-              | None -> Scan.Continue
-              | Some row ->
-                  if Predicate.eval c.restriction (Table.schema c.table) row then begin
-                    Hashtbl.replace ff.ff_delivered rid ();
-                    if Hashtbl.length ff.ff_delivered >= c.cfg.fgr_buffer_cap then begin
-                      ff.ff_active <- false;
-                      Trace.emit c.trace
-                        (Trace.Foreground_stopped { reason = "foreground buffer overflow" })
-                    end;
-                    Scan.Deliver (rid, row)
-                  end
-                  else begin
-                    ff.ff_wasted <- ff.ff_wasted + 1;
-                    let wasted_cost =
-                      float_of_int ff.ff_wasted *. Cost.default_weights.Cost.physical_read
-                    in
-                    if
-                      wasted_cost
-                      > c.cfg.fgr_waste_cap *. Jscan.guaranteed_best ff.ff_jscan
-                    then begin
-                      ff.ff_active <- false;
-                      Trace.emit c.trace
-                        (Trace.Foreground_stopped
-                           { reason = "wasted fetches exceed competition cap" })
-                    end;
-                    Scan.Continue
-                  end
-            end
-      end
-      else Scan.Continue
+        | Some row when Predicate.eval c.restriction (Table.schema c.table) row ->
+            Hashtbl.replace delivered rid ();
+            if Hashtbl.length delivered >= fgr_buffer_cap then
+              stop "foreground buffer overflow";
+            Scan.Deliver (rid, row)
+        | Some _ ->
+            incr wasted;
+            let wasted_cost =
+              float_of_int !wasted *. Cost.default_weights.Cost.physical_read
+            in
+            if wasted_cost > fgr_waste_cap *. Jscan.guaranteed_best j then
+              stop "wasted fetches exceed competition cap";
+            Scan.Continue)
+  in
+  Tactic.then_
+    (fun () ->
+      match Jscan.step j with
+      | `Faulted f -> bg_failed c (Jscan.quarantine j) f
+      | `Finished _ ->
+          if !active then stop "background completed";
+          Scan.Done
+      | `Working -> if !active && prefer_fgr c then borrow () else Scan.Continue)
+    (stage2 c ~delivered (fun () -> Option.get (Jscan.outcome j)))
 
-(* Sorted tactic arms: the foreground Fscan is the only deliverer; the
-   background Jscan builds a filter while its cost lags. *)
-let sorted_bg c so =
-  match Jscan.step so.so_jscan with
-  | `Faulted f -> bg_failed c (Jscan.quarantine so.so_jscan) f
-  | `Working -> Scan.Continue
-  | `Finished (Jscan.Rid_list rids) ->
-      so.so_bgr_active <- false;
-      Fscan.set_filter so.so_fscan (Filter.of_sorted_array rids);
-      Scan.Continue
-  | `Finished (Jscan.Recommend_tscan _) ->
-      so.so_bgr_active <- false;
-      Scan.Continue
+(* Sorted: the foreground Fscan is the only deliverer; the background
+   Jscan builds a filter for it while its cost lags (§3 race). *)
+let sorted c fg j =
+  let bgr_active = ref true in
+  Tactic.race
+    ~choose:(fun () -> if !bgr_active && not (prefer_fgr c) then `Right else `Left)
+    ~left:(fun () ->
+      match Fscan.step fg with
+      | Scan.Done ->
+          if !bgr_active then begin
+            bgr_active := false;
+            Trace.emit c.trace
+              (Trace.Background_stopped { reason = "foreground finished first" })
+          end;
+          Scan.Done
+      | s -> s)
+    ~right:(fun () ->
+      match Jscan.step j with
+      | `Faulted f -> bg_failed c (Jscan.quarantine j) f
+      | `Working -> Scan.Continue
+      | `Finished outcome ->
+          bgr_active := false;
+          (match outcome with
+          | Jscan.Rid_list rids -> Fscan.set_filter fg (Filter.of_sorted_array rids)
+          | Jscan.Recommend_tscan _ -> ());
+          Scan.Continue)
 
-let sorted_fg c so =
-  match Fscan.step so.so_fscan with
-  | Scan.Done ->
-      if so.so_bgr_active then begin
-        so.so_bgr_active <- false;
-        Trace.emit c.trace (Trace.Background_stopped { reason = "foreground finished first" })
-      end;
-      Scan.Done
-  | s -> s
+(* Index-only: the self-sufficient Sscan delivers; the Jscan competes
+   for a sure list whose final stage preempts the Sscan mid-flight. *)
+let index_only c (cand : Scan.candidate) j =
+  let s = Sscan.create c.table c.fgr_meter cand ~restriction:c.restriction in
+  let delivered = Hashtbl.create 64 in
+  let bgr_active = ref true and sure_list = ref None in
+  let stop_bgr reason =
+    bgr_active := false;
+    Trace.emit c.trace (Trace.Background_stopped { reason })
+  in
+  Tactic.preempt
+    (fun () -> !sure_list)
+    (Tactic.race
+       ~choose:(fun () -> if !bgr_active && not (prefer_fgr c) then `Right else `Left)
+       ~left:(fun () ->
+         match Sscan.step s with
+         | Scan.Deliver (rid, _) as step ->
+             Hashtbl.replace delivered rid ();
+             (* Foreground buffer overflow: the safer Sscan wins, Jscan
+                terminates (§7 index-only). *)
+             if Hashtbl.length delivered >= fgr_buffer_cap && !bgr_active then
+               stop_bgr "foreground buffer overflow; Sscan is the safer strategy";
+             step
+         | step -> step)
+       ~right:(fun () ->
+         match Jscan.step j with
+         | `Faulted f -> bg_failed c (Jscan.quarantine j) f
+         | `Working -> Scan.Continue
+         | `Finished (Jscan.Recommend_tscan _) ->
+             stop_bgr "Jscan found no competitive list";
+             Scan.Continue
+         | `Finished (Jscan.Rid_list rids) ->
+             bgr_active := false;
+             (* Is the "sure" RID-list retrieval cheaper than finishing
+                the Sscan? *)
+             let remaining =
+               Float.max 0.0 (cand.Scan.est -. float_of_int (Sscan.delivered s))
+             in
+             let sscan_rest = Cost_model.index_scan_cost cand.Scan.idx ~entries:remaining in
+             let list_cost = Cost_model.rid_fetch_cost c.table ~k:(Array.length rids) in
+             if list_cost < sscan_rest then begin
+               Trace.emit c.trace
+                 (Trace.Foreground_stopped
+                    { reason = "Jscan delivered a small sure list; Sscan abandoned" });
+               sure_list := Some (final_stage c ~delivered rids)
+             end;
+             Scan.Continue))
 
-(* Index-only arms: the self-sufficient Sscan delivers; the Jscan
-   competes for a sure list that preempts it. *)
-let index_only_bg c io =
-  match Jscan.step io.io_jscan with
-  | `Faulted f -> bg_failed c (Jscan.quarantine io.io_jscan) f
-  | `Working -> Scan.Continue
-  | `Finished (Jscan.Recommend_tscan _) ->
-      io.io_bgr_active <- false;
-      Trace.emit c.trace
-        (Trace.Background_stopped { reason = "Jscan found no competitive list" });
-      Scan.Continue
-  | `Finished (Jscan.Rid_list rids) ->
-      io.io_bgr_active <- false;
-      (* Is the "sure" RID-list retrieval cheaper than finishing
-         the Sscan? *)
-      let remaining =
-        Float.max 0.0 (io.io_cand.Scan.est -. float_of_int (Sscan.delivered io.io_sscan))
+(* The one builder: a tactic kind's scans, created and composed from
+   Tactic combinators (DESIGN.md §17) — phase sequencing ([then_]: the
+   background settles, then the final stage), cost competition
+   ([race]: the §3 foreground/background switch), and mid-flight
+   takeover ([preempt]: index-only's sure list replacing the Sscan).
+   Per-arm state lives in the arms' closures; scans holding a
+   page-handle cache register its drop with the cursor.  [decide] only
+   picks the Sscan kinds with a covering choice, and the Fscan kinds
+   with an order index. *)
+let build c (classified : Initial_stage.classified) = function
+  | Cancelled -> Tactic.halt
+  | Static_tscan -> tscan c
+  | Static_sscan ->
+      let s =
+        Sscan.create c.table c.fgr_meter
+          (Option.get (covering_sscan_choice c.table classified))
+          ~restriction:c.restriction
       in
-      let sscan_rest = Cost_model.index_scan_cost io.io_cand.Scan.idx ~entries:remaining in
-      let list_cost = Cost_model.rid_fetch_cost c.table ~k:(Array.length rids) in
-      if list_cost < sscan_rest then begin
-        Trace.emit c.trace
-          (Trace.Foreground_stopped
-             { reason = "Jscan delivered a small sure list; Sscan abandoned" });
-        Trace.emit c.trace
-          (Trace.Final_stage
-             { rids = Array.length rids; filtered_delivered = Hashtbl.length io.io_delivered });
-        io.io_stage2 <-
-          Some
-            (S_final
-               (Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction
-                  ~exclude:(fun rid -> Hashtbl.mem io.io_delivered rid)))
-      end;
-      Scan.Continue
-
-let index_only_fg c io =
-  match Sscan.step io.io_sscan with
-  | Scan.Deliver (rid, row) ->
-      Hashtbl.replace io.io_delivered rid ();
-      if Hashtbl.length io.io_delivered >= c.cfg.fgr_buffer_cap && io.io_bgr_active
-      then begin
-        (* Foreground buffer overflow: the safer Sscan wins,
-           Jscan terminates (§7 index-only). *)
-        io.io_bgr_active <- false;
-        Trace.emit c.trace
-          (Trace.Background_stopped
-             { reason = "foreground buffer overflow; Sscan is the safer strategy" })
-      end;
-      Scan.Deliver (rid, row)
-  | s -> s
-
-(* The machine's behavior, assembled from Tactic combinators
-   (DESIGN.md §17).  Each arm above is a one-quantum closure over the
-   tactic's state; phase sequencing ([then_]: the background settles,
-   then the final stage), cost competition ([race]: the §3
-   foreground/background switch), and mid-flight takeover ([preempt]:
-   index-only's sure list replacing the Sscan) belong to the
-   combinators — no bespoke multi-phase step dispatch remains.
-   Rebuilt whenever the machine is swapped (Tscan fallback). *)
-let tactic_of c machine =
-  match machine with
-  | M_empty -> Tactic.halt
-  | M_tscan t -> fun () -> Tscan.step t
-  | M_sscan s -> fun () -> Sscan.step s
-  | M_fscan f -> fun () -> Fscan.step f
-  | M_bg_only bg ->
-      let nobody = Hashtbl.create 0 in
+      fun () -> Sscan.step s
+  | Static_fscan ->
+      let f = fscan c (Option.get classified.Initial_stage.order_index) in
+      fun () -> Fscan.step f
+  | Background_only ->
+      let j = jscan c classified.Initial_stage.jscan_candidates in
+      Tactic.then_ (jscan_phase c j)
+        (stage2 c ~delivered:(Hashtbl.create 0) (fun () -> Option.get (Jscan.outcome j)))
+  | Fast_first_tactic -> fast_first c (jscan c classified.Initial_stage.jscan_candidates)
+  | Sorted_tactic ->
+      let oi = Option.get classified.Initial_stage.order_index in
+      (* The background Jscan builds a *filter*: it competes against
+         the foreground Fscan's remaining cost (scan plus one fetch per
+         in-range entry), not against a Tscan. *)
+      let fscan_cost =
+        Cost_model.index_scan_cost oi.Scan.idx ~entries:oi.Scan.est
+        +. Cost_model.key_order_fetch_cost c.table oi.Scan.idx ~entries:oi.Scan.est
+      in
+      let cfg =
+        {
+          c.cfg.jscan with
+          Jscan.filter_only = true;
+          initial_guaranteed_best = Some fscan_cost;
+        }
+      in
+      let j =
+        Jscan.create c.table c.bgr_meter cfg c.trace
+          ~candidates:(other_than oi classified.Initial_stage.jscan_candidates)
+      in
+      sorted c (fscan c oi) j
+  | Index_only_tactic ->
+      let cand = Option.get (covering_sscan_choice c.table classified) in
+      let j = jscan c (other_than cand classified.Initial_stage.jscan_candidates) in
+      index_only c cand j
+  | Union_tactic ->
+      let cfg =
+        {
+          Uscan.default_config with
+          Uscan.switch_ratio = c.cfg.jscan.Jscan.switch_ratio;
+          memory_budget = c.cfg.jscan.Jscan.memory_budget;
+        }
+      in
+      let u =
+        Uscan.create c.table c.bgr_meter cfg c.trace
+          ~disjuncts:classified.Initial_stage.union_candidates
+      in
       Tactic.then_
         (fun () ->
-          match Jscan.step bg.bg_jscan with
+          match Uscan.step u with
           | `Working -> Scan.Continue
-          | `Faulted f -> bg_failed c (Jscan.quarantine bg.bg_jscan) f
+          | `Faulted f -> bg_failed c (Uscan.abandon u) f
           | `Finished _ -> Scan.Done)
-        (fun () ->
-          stage2_successor c ~delivered:nobody
-            ~store:(fun s2 -> bg.bg_stage2 <- Some s2)
-            (Option.get (Jscan.outcome bg.bg_jscan)))
-  | M_union un ->
-      let nobody = Hashtbl.create 0 in
-      Tactic.then_
-        (fun () ->
-          match Uscan.step un.un_scan with
-          | `Working -> Scan.Continue
-          | `Faulted f -> bg_failed c (Uscan.abandon un.un_scan) f
-          | `Finished _ -> Scan.Done)
-        (fun () ->
-          let as_jscan =
-            match Option.get (Uscan.outcome un.un_scan) with
-            | Uscan.Rid_list rids -> Jscan.Rid_list rids
-            | Uscan.Recommend_tscan r -> Jscan.Recommend_tscan r
-          in
-          stage2_successor c ~delivered:nobody
-            ~store:(fun s2 -> un.un_stage2 <- Some s2)
-            as_jscan)
-  | M_fast_first ff ->
-      Tactic.then_
-        (fun () -> fast_first_phase1 c ff)
-        (fun () ->
-          stage2_successor c ~delivered:ff.ff_delivered
-            ~store:(fun s2 -> ff.ff_stage2 <- Some s2)
-            (Option.get (Jscan.outcome ff.ff_jscan)))
-  | M_sorted so ->
-      Tactic.race
-        ~choose:(fun () ->
-          if so.so_bgr_active && not (prefer_fgr c) then `Right else `Left)
-        ~left:(fun () -> sorted_fg c so)
-        ~right:(fun () -> sorted_bg c so)
-  | M_index_only io ->
-      Tactic.preempt
-        (fun () ->
-          match io.io_stage2 with
-          | Some s2 ->
-              Some (fun () -> step_stage2 c.table c.restriction io.io_delivered s2)
-          | None -> None)
-        (Tactic.race
-           ~choose:(fun () ->
-             if io.io_bgr_active && not (prefer_fgr c) then `Right else `Left)
-           ~left:(fun () -> index_only_fg c io)
-           ~right:(fun () -> index_only_bg c io))
+        (stage2 c ~delivered:(Hashtbl.create 0) (fun () ->
+             match Option.get (Uscan.outcome u) with
+             | Uscan.Rid_list rids -> Jscan.Rid_list rids
+             | Uscan.Recommend_tscan r -> Jscan.Recommend_tscan r))
 
 (* ------------------------------------------------------------------ *)
 (* Cursor API                                                          *)
@@ -646,117 +521,125 @@ let needed_columns table (req : request) restriction =
   let all = projection @ Predicate.columns restriction @ req.order_by in
   List.sort_uniq compare all
 
+(* The optimization goal when neither OPTIMIZE FOR nor the context
+   names one (§4). *)
+let default_goal = Goal.Total_time
+
+(* What planning knew about the useful indexes when it chose no index
+   at all: the range was cancelled, or planning itself faulted. *)
+let no_indexes =
+  {
+    Initial_stage.jscan_candidates = [];
+    self_sufficient = [];
+    order_index = None;
+    union_candidates = [];
+    estimation_nodes = 0;
+  }
+
 let open_ ?(config = default_config) table (req : request) =
   let trace = Trace.create () in
   Trace.emit trace (Trace.Span_begin { span = "plan" });
-  let fgr_meter = Cost.create () in
-  let bgr_meter = Cost.create () in
   let est_meter = Cost.create () in
   let restriction = Predicate.simplify (Predicate.bind req.restriction req.env) in
   let goal, goal_provenance =
-    Goal.resolve ?explicit:req.explicit_goal ?context:req.context
-      ~default:config.default_goal ()
+    Goal.resolve ?explicit:req.explicit_goal ?context:req.context ~default:default_goal ()
   in
   let schema = Table.schema table in
   let order_ids = Array.of_list (List.map (Schema.index_of schema) req.order_by) in
-  let tactic, machine, classified_order, feedback_pending =
-    if restriction = Predicate.False then (Cancelled, M_empty, false, [])
-    else begin
-      match
+  (* The cursor for a chosen tactic, its tactic built (which may run a
+     clustering probe, so it belongs to planning). *)
+  let cursor_for tactic (classified : Initial_stage.classified) =
+    (* Ordered iff driven by an order-providing index. *)
+    let ordered_by_index =
+      let provides_order (cand : Scan.candidate) =
+        Table.index_provides_order cand.Scan.idx ~order:req.order_by
+      in
+      match tactic with
+      | Sorted_tactic | Static_fscan ->
+          Option.fold ~none:false ~some:provides_order classified.Initial_stage.order_index
+      | Static_sscan -> (
+          match classified.Initial_stage.self_sufficient with
+          | c :: _ -> provides_order c
+          | [] -> false)
+      | _ -> false
+    in
+    (* Candidates a completed scan can later teach from: the inexact
+       ones (exact estimates have nothing to learn). *)
+    let feedback_pending =
+      if config.feedback_rate > 0.0 then
+        List.filter
+          (fun cand -> not cand.Scan.est_exact)
+          (classified.Initial_stage.jscan_candidates
+          @ classified.Initial_stage.union_candidates)
+      else []
+    in
+    let c =
+      {
+        table;
+        cfg = config;
+        trace;
+        tactic;
+        goal;
+        goal_provenance;
+        restriction;
+        tac = Tactic.halt;
+        drops = [];
+        fgr_meter = Cost.create ();
+        bgr_meter = Cost.create ();
+        est_meter;
+        order_ids;
+        sorted_rows = None;
+        presort = [];
+        needs_sort = req.order_by <> [] && not ordered_by_index;
+        ordered_by_index;
+        feedback_pending;
+        delivered_rids = Hashtbl.create 64;
+        exclude_delivered = false;
+        driver = None;
+        inbox = [];
+        pending_bg = None;
+        aborted = None;
+        quota_hit = None;
+        deadline_hit = None;
+        delivered = 0;
+        first_row_cost = None;
+        closed = false;
+        summary = None;
+      }
+    in
+    c.tac <- build c classified tactic;
+    c
+  in
+  let c =
+    if restriction = Predicate.False then cursor_for Cancelled no_indexes
+    else
+      try
         match
-          Initial_stage.run table est_meter trace
-            ~feedback_rate:config.feedback_rate ~restriction
+          Initial_stage.run table est_meter trace ~feedback_rate:config.feedback_rate
+            ~restriction
             ~needed_columns:(needed_columns table req restriction)
             ~order_by:req.order_by
         with
-        | Initial_stage.No_rows _ -> (Cancelled, M_empty, false, [])
+        | Initial_stage.No_rows _ -> cursor_for Cancelled no_indexes
         | Initial_stage.Arranged classified ->
             let tactic =
-              decide table goal ~bgr:config.bgr_enabled ~order_by:req.order_by
-                ~classified trace
+              decide table goal ~bgr:config.bgr_enabled ~order_by:req.order_by ~classified
+                trace
             in
-            let machine =
-              build_machine config table trace restriction ~classified ~fgr_meter
-                ~bgr_meter tactic
-            in
-            let ordered_delivery =
-              match tactic with
-              | Sorted_tactic | Static_fscan -> (
-                  (* Ordered iff driven by an order-providing index. *)
-                  match classified.Initial_stage.order_index with
-                  | Some oi -> Table.index_provides_order oi.Scan.idx ~order:req.order_by
-                  | None -> false)
-              | Static_sscan -> (
-                  match classified.Initial_stage.self_sufficient with
-                  | c :: _ -> Table.index_provides_order c.Scan.idx ~order:req.order_by
-                  | [] -> false)
-              | _ -> false
-            in
-            (* Candidates a completed scan can later teach from: the
-               inexact ones (exact estimates have nothing to learn). *)
-            let pending =
-              if config.feedback_rate > 0.0 then
-                List.filter
-                  (fun cand -> not cand.Scan.est_exact)
-                  (classified.Initial_stage.jscan_candidates
-                  @ classified.Initial_stage.union_candidates)
-              else []
-            in
-            (tactic, machine, ordered_delivery, pending)
-      with
-      | exception Fault.Injected f ->
-          (* Planning faulted (estimation descent, clustering probe).
-             Estimates are advice: degrade to the plan that needs
-             none. *)
-          Trace.emit trace
-            (Trace.Fault_detected { site = "planning"; fault = Fault.describe f });
-          Trace.emit trace
-            (Trace.Fallback_tscan { reason = "fault during planning" });
-          Trace.emit trace
-            (Trace.Tactic_chosen
-               { tactic = tactic_to_string Static_tscan; reason = "fault during planning" });
-          (Static_tscan, M_tscan (Tscan.create table fgr_meter restriction), false, [])
-      | planned -> planned
-    end
+            cursor_for tactic classified
+      with Fault.Injected f ->
+        (* Planning faulted (estimation descent, clustering probe).
+           Estimates are advice: degrade to the plan that needs none. *)
+        Trace.emit trace
+          (Trace.Fault_detected { site = "planning"; fault = Fault.describe f });
+        Trace.emit trace (Trace.Fallback_tscan { reason = "fault during planning" });
+        Trace.emit trace
+          (Trace.Tactic_chosen
+             { tactic = tactic_to_string Static_tscan; reason = "fault during planning" });
+        cursor_for Static_tscan no_indexes
   in
   Trace.emit trace (Trace.Span_end { span = "plan"; cost = Cost.total est_meter; rows = 0 });
   Trace.emit trace (Trace.Span_begin { span = "execute" });
-  let needs_sort = req.order_by <> [] && not classified_order in
-  let c =
-    {
-      table;
-      cfg = config;
-      trace;
-      tactic;
-      goal;
-      goal_provenance;
-      restriction;
-      machine;
-      tac = Tactic.halt;
-      fgr_meter;
-      bgr_meter;
-      est_meter;
-      order_ids;
-      sorted_rows = None;
-      presort = [];
-      needs_sort;
-      ordered_by_index = classified_order;
-      feedback_pending;
-      delivered_rids = Hashtbl.create 64;
-      exclude_delivered = false;
-      driver = None;
-      inbox = [];
-      pending_bg = None;
-      aborted = None;
-      quota_hit = None;
-      deadline_hit = None;
-      delivered = 0;
-      first_row_cost = None;
-      closed = false;
-      summary = None;
-    }
-  in
-  c.tac <- tactic_of c c.machine;
   c
 
 (* ------------------------------------------------------------------ *)
@@ -792,136 +675,104 @@ let note_structure_fault c (f : Fault.failure) =
                  reason = tr.Health.tr_reason;
                }))
 
-let abort_query c f =
-  Trace.emit c.trace (Trace.Query_aborted { fault = Fault.describe f });
-  c.aborted <- Some (Fault.describe f)
-
-(* A foreground index path died: swap in the guaranteed-safe Tscan,
-   skipping rows already delivered.  If delivery order came from the
-   index, the already-delivered prefix holds the lowest keys, so
-   sorting the remainder keeps the whole stream ordered. *)
-let fallback_tscan c f =
-  Trace.emit c.trace (Trace.Fallback_tscan { reason = Fault.describe f });
-  if c.ordered_by_index then c.needs_sort <- true;
-  c.exclude_delivered <- true;
-  c.machine <- M_tscan (Tscan.create c.table c.fgr_meter c.restriction);
-  c.tac <- tactic_of c c.machine
-
-(* Retrieval's degradation ladder as a Tactic.Policy stack, one rung
-   per recourse, tried in order (DESIGN.md §17).  The driver owns
-   consecutive-fault counting; the rungs own what the count means:
-   bounded retry with deterministic backoff for transient faults, then
-   quarantine (background), fallback (foreground index path), or abort
-   (heap).  Exactly one rung decides each fault, and a deciding
-   escalation rung's first effect is feeding the health registry. *)
-
 let fault_site c (f : Fault.failure) =
   (if Option.is_some c.pending_bg then "background " else "foreground ")
   ^ Fault.class_name f.Fault.class_
 
-let retry_rung c =
-  Tactic.Policy.bounded_retry ~limit:c.cfg.retry_limit
-    ~penalize:(fun f ~consec ->
-      (* The i-th consecutive retry charges i physical reads to the
-         faulted side's meter, so repeated faults both show up in
-         the cost accounting and shift the foreground/background
-         interleave away from the flaky device. *)
-      let meter = if Option.is_some c.pending_bg then c.bgr_meter else c.fgr_meter in
-      for _ = 1 to consec do
-        Cost.charge_physical meter
-      done;
-      Trace.emit c.trace
-        (Trace.Fault_retry { site = fault_site c f; attempt = consec; penalty = consec }))
+(* The i-th consecutive retry charges i physical reads to the faulted
+   side's meter, so repeated faults both show up in the cost accounting
+   and shift the foreground/background interleave away from the flaky
+   device. *)
+let penalize c f ~consec =
+  let meter = if Option.is_some c.pending_bg then c.bgr_meter else c.fgr_meter in
+  for _ = 1 to consec do
+    Cost.charge_physical meter
+  done;
+  Trace.emit c.trace
+    (Trace.Fault_retry { site = fault_site c f; attempt = consec; penalty = consec })
 
-let quarantine_rung c =
-  Tactic.Policy.rung ~name:"quarantine" (fun f ~consec:_ ->
-      match c.pending_bg with
-      | Some quarantine ->
-          note_structure_fault c f;
-          quarantine f;
-          Some Driver.Absorb
-      | None -> None)
-
-let abort_heap_rung c =
-  Tactic.Policy.rung ~name:"abort-heap" (fun f ~consec:_ ->
-      match f.Fault.class_ with
-      | Fault.Heap ->
-          note_structure_fault c f;
-          abort_query c f;
-          Some Driver.Stop
-      | Fault.Index | Fault.Spill | Fault.Other -> None)
-
-let fallback_rung c =
-  Tactic.Policy.rung ~name:"tscan-fallback" (fun f ~consec:_ ->
+let quarantine c f ~consec:_ =
+  match c.pending_bg with
+  | Some quarantine_bg ->
       note_structure_fault c f;
-      fallback_tscan c f;
-      Some Driver.Absorb)
+      quarantine_bg f;
+      Some Driver.Absorb
+  | None -> None
 
-(* Which rungs arm for which tactic: background-bearing tactics can
-   quarantine the faulted competitor; foreground index paths can fall
-   back to Tscan; a Tscan (and the empty machine) only ever touches
-   the heap, whose sole recourse past retrying is the structured
-   abort. *)
-let policy_stack c =
-  Tactic.Policy.stack
-    (match c.tactic with
-    | Background_only | Fast_first_tactic | Sorted_tactic | Index_only_tactic
-    | Union_tactic ->
-        [ retry_rung c; quarantine_rung c; abort_heap_rung c; fallback_rung c ]
-    | Static_sscan | Static_fscan ->
-        [ retry_rung c; abort_heap_rung c; fallback_rung c ]
-    | Static_tscan | Cancelled -> [ retry_rung c; abort_heap_rung c ])
+let abort_heap c f ~consec:_ =
+  match f.Fault.class_ with
+  | Fault.Heap ->
+      note_structure_fault c f;
+      Trace.emit c.trace (Trace.Query_aborted { fault = Fault.describe f });
+      c.aborted <- Some (Fault.describe f);
+      Some Driver.Stop
+  | Fault.Index | Fault.Spill | Fault.Other -> None
 
-let fault_policy c =
-  Tactic.Policy.seal
-    ~observe:(fun f ~consec:_ ->
-      Trace.emit c.trace
-        (Trace.Fault_detected { site = fault_site c f; fault = Fault.describe f }))
-    (policy_stack c)
+(* A foreground index path died: install the guaranteed-safe Tscan,
+   skipping rows already delivered.  If delivery order came from the
+   index, the already-delivered prefix holds the lowest keys, so
+   sorting the remainder keeps the whole stream ordered. *)
+let fallback_tscan c f ~consec:_ =
+  note_structure_fault c f;
+  Trace.emit c.trace (Trace.Fallback_tscan { reason = Fault.describe f });
+  if c.ordered_by_index then c.needs_sort <- true;
+  c.exclude_delivered <- true;
+  c.drops <- [];
+  c.tac <- tscan c;
+  Some Driver.Absorb
 
-(* The ladder a given tactic kind arms, as EXPLAIN prints it — kept in
-   lockstep with [policy_stack] (pinned per covered tactic by the
-   oracle suite). *)
-let policy_description ?(config = default_config) tactic =
-  let retry = Printf.sprintf "retry(%d)" config.retry_limit in
-  String.concat " \xe2\x87\x92 "
-    (match tactic with
-    | Background_only | Fast_first_tactic | Sorted_tactic | Index_only_tactic
-    | Union_tactic ->
-        [ retry; "quarantine"; "abort-heap"; "tscan-fallback" ]
-    | Static_sscan | Static_fscan -> [ retry; "abort-heap"; "tscan-fallback" ]
-    | Static_tscan | Cancelled -> [ retry; "abort-heap" ])
+(* Retrieval's degradation ladder as a Tactic.Policy stack, one rung
+   per recourse, tried in order (DESIGN.md §17) — written once per
+   tactic kind.  The driver owns consecutive-fault counting; the rungs
+   own what the count means: bounded retry with deterministic backoff
+   for transient faults, then quarantine (background-bearing tactics),
+   abort (heap), or fallback (foreground index paths; a Tscan, and the
+   empty tactic, only ever touch the heap).  Exactly one rung decides
+   each fault, and a deciding escalation rung's first effect is feeding
+   the health registry.  The rungs act on [target]; EXPLAIN's
+   description builds them with no cursor, which is sound because
+   building and describing a rung never runs it. *)
+let rungs cfg kind (target : cursor option) =
+  let on act f ~consec = act (Option.get target) f ~consec in
+  let open Tactic.Policy in
+  List.concat
+    [
+      [ bounded_retry ~limit:cfg.retry_limit ~penalize:(on penalize) ];
+      (if background_bearing kind then [ rung ~name:"quarantine" (on quarantine) ]
+       else []);
+      [ rung ~name:"abort-heap" (on abort_heap) ];
+      (match kind with
+      | Static_tscan | Cancelled -> []
+      | _ -> [ rung ~name:"tscan-fallback" (on fallback_tscan) ]);
+    ]
 
-(* Page-handle caches are only sound within one batch; the machine
-   cursor invalidates whichever its current shape holds on every batch
-   boundary. *)
-let drop_machine_caches c =
-  match c.machine with
-  | M_fscan f -> Fscan.drop_cache f
-  | M_sorted so -> Fscan.drop_cache so.so_fscan
-  | M_bg_only { bg_stage2 = Some (S_final fs); _ }
-  | M_union { un_stage2 = Some (S_final fs); _ }
-  | M_fast_first { ff_stage2 = Some (S_final fs); _ }
-  | M_index_only { io_stage2 = Some (S_final fs); _ } ->
-      Final_stage.drop_cache fs
-  | _ -> ()
-
-let machine_cursor c =
-  Scan.cursor_of_step
-    ~cost:(fun () -> total_cost c)
-    ~on_yield:(fun () -> drop_machine_caches c)
-    (fun () ->
-      (* [pending_bg] is only ever set on a path that returns [Failed],
-         which ends the batch — so clearing it per step keeps the
-         blame assignment of the step-at-a-time protocol. *)
-      c.pending_bg <- None;
-      c.tac ())
+let policy_description ?(config = default_config) kind =
+  Tactic.Policy.describe (Tactic.Policy.stack (rungs config kind None))
 
 let driver_of c =
   match c.driver with
   | Some d -> d
   | None ->
-      let d = Driver.make (machine_cursor c) (fault_policy c) in
+      let cursor =
+        Scan.cursor_of_step
+          ~cost:(fun () -> total_cost c)
+          ~on_yield:(fun () -> List.iter (fun drop -> drop ()) c.drops)
+          (fun () ->
+            (* [pending_bg] is only ever set on a path that returns
+               [Failed], which ends the batch — so clearing it per step
+               keeps the blame assignment of the step-at-a-time
+               protocol. *)
+            c.pending_bg <- None;
+            c.tac ())
+      in
+      let policy =
+        Tactic.Policy.seal
+          ~observe:(fun f ~consec:_ ->
+            Trace.emit c.trace
+              (Trace.Fault_detected { site = fault_site c f; fault = Fault.describe f }))
+          (Tactic.Policy.stack (rungs c.cfg c.tactic (Some c)))
+      in
+      let d = Driver.make cursor policy in
       c.driver <- Some d;
       d
 
@@ -945,7 +796,7 @@ let accept_batch c (b : Scan.batch) =
 (* One quantum of raw progress: hand out a buffered row if the last
    batch left any, otherwise check the quota and pump the driver for
    one batch — the unit the multi-query session scheduler interleaves
-   by.  At the default [batch_budget = 0.] a batch is a single machine
+   by.  At the default [batch_budget = 0.] a batch is a single tactic
    step, reproducing the row-at-a-time protocol exactly. *)
 let quantum_raw c =
   match c.inbox with
@@ -953,14 +804,13 @@ let quantum_raw c =
       c.inbox <- rest;
       `Row p
   | [] ->
-      if c.aborted <> None || c.quota_hit <> None || c.deadline_hit <> None then
-        `Exhausted
+      if c.aborted <> None || c.quota_hit <> None || c.deadline_hit <> None then `Done
       else begin
         match c.cfg.cost_quota with
         | Some quota when total_cost c > quota ->
             Trace.emit c.trace (Trace.Quota_exceeded { spent = total_cost c; quota });
             c.quota_hit <- Some (total_cost c, quota);
-            `Exhausted
+            `Done
         | _ -> (
             let progress =
               Driver.pump (driver_of c) ~budget:c.cfg.batch_budget
@@ -973,66 +823,60 @@ let quantum_raw c =
             | [] -> (
                 match progress with
                 | Driver.More | Driver.Stopped _ -> `Working
-                | Driver.Exhausted -> `Exhausted))
+                | Driver.Exhausted -> `Done))
       end
 
-type step_result = Step_row of Rid.t * Row.t | Step_working | Step_done
-
+(* One quantum in requested order: a delivered row, work without a
+   row, or the end of the stream.  When the order needs a post-sort,
+   rows are drained ahead of the sort (the SORT node that made this
+   goal total-time in the first place) and handed out afterwards. *)
 let step c =
-  let raw =
-    if c.closed then Step_done
+  let r =
+    if c.closed then `Done
     else if c.needs_sort then begin
       match c.sorted_rows with
       | Some (p :: rest) ->
           c.sorted_rows <- Some rest;
-          Step_row (fst p, snd p)
-      | Some [] -> Step_done
+          `Row p
+      | Some [] -> `Done
       | None -> (
           match quantum_raw c with
           | `Row p ->
               c.presort <- p :: c.presort;
-              Step_working
-          | `Working -> Step_working
-          | `Exhausted ->
-              (* Materialize and sort (the SORT node that made this goal
-                 total-time in the first place). *)
+              `Working
+          | `Working -> `Working
+          | `Done ->
               let arr = Array.of_list (List.rev c.presort) in
               c.presort <- [];
               Array.sort (fun (_, a) (_, b) -> Row.compare_at c.order_ids a b) arr;
               Cost.charge_cpu c.fgr_meter (Array.length arr);
               c.sorted_rows <- Some (Array.to_list arr);
-              Step_working)
+              `Working)
     end
-    else begin
-      match quantum_raw c with
-      | `Row (rid, row) -> Step_row (rid, row)
-      | `Working -> Step_working
-      | `Exhausted -> Step_done
-    end
+    else quantum_raw c
   in
-  (match raw with
-  | Step_row _ ->
+  (match r with
+  | `Row _ ->
       c.delivered <- c.delivered + 1;
       if c.first_row_cost = None then c.first_row_cost <- Some (total_cost c)
-  | Step_working | Step_done -> ());
-  raw
+  | `Working | `Done -> ());
+  r
 
-let rec fetch_pair c =
-  match step c with
-  | Step_row (rid, row) -> Some (rid, row)
-  | Step_working -> fetch_pair c
-  | Step_done -> None
+(* The drive loop: pump quanta until a row arrives or the stream ends. *)
+let rec next c =
+  match step c with `Row p -> Some p | `Working -> next c | `Done -> None
 
-let fetch c = Option.map snd (fetch_pair c)
+let fetch c = match next c with Some (_, row) -> Some row | None -> None
 
-let drain_pairs c =
+(* Up to [limit] rows delivered in total, each mapped by [f]. *)
+let collect c ~limit f =
   let rec loop acc =
-    match fetch_pair c with
-    | Some p -> loop (p :: acc)
-    | None -> List.rev acc
+    if c.delivered >= limit then List.rev acc
+    else match next c with Some p -> loop (f p :: acc) | None -> List.rev acc
   in
   loop []
 
+let drain_pairs c = collect c ~limit:max_int Fun.id
 let spent = total_cost
 
 let grant c ~budget ~max_steps ~stop ~on_row =
@@ -1042,11 +886,11 @@ let grant c ~budget ~max_steps ~stop ~on_row =
     ~budget ~max_steps ~stop
     ~step:(fun () ->
       match step c with
-      | Step_row (_, row) ->
+      | `Row (_, row) ->
           on_row row;
           `Continue
-      | Step_working -> `Continue
-      | Step_done ->
+      | `Working -> `Continue
+      | `Done ->
           finished := true;
           `Finished);
   !finished
@@ -1070,28 +914,51 @@ let tactic c = c.tactic
    a factor of 1 is a perfect estimate). *)
 let error_buckets = [| 1.0; 1.25; 1.5; 2.0; 4.0; 8.0; 16.0 |]
 
-(* Per-index estimate-vs-actual error factors, from the trace: pair
-   each [Estimated] with the [Scan_completed] of the same index and
-   report max(est/actual, actual/est). *)
-let estimate_errors events =
-  let actuals = Hashtbl.create 4 in
+(* An [Estimated] event paired with its index's completed scans. *)
+type estimate_pair = {
+  index : string;
+  estimate : float;
+  exact : bool;
+  estimations : int;  (** [Estimated] events for [index] in the trace *)
+  scans : int list;  (** [Scan_completed] counts for [index], latest first *)
+}
+
+(* The one pass pairing the trace's descent estimates with completed
+   scans of the same index, in [Estimated] order. *)
+let pair_estimates events =
+  let estimated = Hashtbl.create 4 and completed = Hashtbl.create 4 in
   List.iter
     (function
-      | Trace.Scan_completed { index; scanned; _ } ->
-          Hashtbl.replace actuals index scanned
+      | Trace.Estimated { index; _ } -> Hashtbl.add estimated index ()
+      | Trace.Scan_completed { index; scanned; _ } -> Hashtbl.add completed index scanned
       | _ -> ())
     events;
   List.filter_map
     (function
-      | Trace.Estimated { index; estimate; _ } -> (
-          match Hashtbl.find_opt actuals index with
-          | Some scanned ->
-              let actual = Float.max 1.0 (float_of_int scanned) in
-              let est = Float.max 1.0 estimate in
-              Some (Float.max (est /. actual) (actual /. est))
-          | None -> None)
+      | Trace.Estimated { index; estimate; exact; _ } ->
+          Some
+            {
+              index;
+              estimate;
+              exact;
+              estimations = List.length (Hashtbl.find_all estimated index);
+              scans = Hashtbl.find_all completed index;
+            }
       | _ -> None)
     events
+
+(* Per-estimate error factor against the index's latest completed scan:
+   max(est/actual, actual/est). *)
+let estimate_errors pairs =
+  List.filter_map
+    (fun p ->
+      match p.scans with
+      | scanned :: _ ->
+          let actual = Float.max 1.0 (float_of_int scanned) in
+          let est = Float.max 1.0 p.estimate in
+          Some (Float.max (est /. actual) (actual /. est))
+      | [] -> None)
+    pairs
 
 let is_switch_point = function
   | Trace.Foreground_stopped _ | Trace.Background_stopped _ | Trace.Use_tscan _
@@ -1113,58 +980,36 @@ let is_degradation = function
    the true range cardinality; discarded or truncated scans teach
    nothing.  An index appearing more than once on either side (union
    disjuncts can share an index) is skipped as ambiguous. *)
-let feed_back c events =
+let feed_back c pairs =
   let rate = c.cfg.feedback_rate in
-  if rate > 0.0 && c.feedback_pending <> [] then begin
-    (* name -> (value, occurrences); an index seen more than once on
-       either side is ambiguous and teaches nothing. *)
-    let estimates = Hashtbl.create 4 in
-    let completions = Hashtbl.create 4 in
-    List.iter
-      (function
-        | Trace.Estimated { index; estimate; exact; _ } -> (
-            match Hashtbl.find_opt estimates index with
-            | Some (_, _, n) -> Hashtbl.replace estimates index (estimate, exact, n + 1)
-            | None -> Hashtbl.add estimates index (estimate, exact, 1))
-        | Trace.Scan_completed { index; scanned; _ } -> (
-            match Hashtbl.find_opt completions index with
-            | Some (_, n) -> Hashtbl.replace completions index (scanned, n + 1)
-            | None -> Hashtbl.add completions index (scanned, 1))
+  let names = List.map (fun cand -> cand.Scan.idx.Table.idx_name) c.feedback_pending in
+  let unique name = List.length (List.filter (String.equal name) names) = 1 in
+  let observed = ref 0 in
+  List.iter
+    (fun cand ->
+      let name = cand.Scan.idx.Table.idx_name in
+      if unique name then
+        (* Teach only from a real announced descent (the pessimistic
+           whole-index default after an estimation shortcut emits no
+           [Estimated] event and must not skew the cell) that is
+           inexact (exact cells have nothing to learn), paired with
+           exactly one completed walk. *)
+        match List.find_opt (fun p -> String.equal p.index name) pairs with
+        | Some { estimate = est; exact = false; estimations = 1; scans = [ scanned ]; _ } ->
+            Feedback.observe (Table.feedback c.table) ~rate ~name ~key:cand.Scan.ranges ~est
+              ~actual:(float_of_int scanned);
+            incr observed
         | _ -> ())
-      events;
-    let names =
-      List.map (fun cand -> cand.Scan.idx.Table.idx_name) c.feedback_pending
-    in
-    let unique name = List.length (List.filter (String.equal name) names) = 1 in
-    let observed = ref 0 in
-    List.iter
-      (fun cand ->
-        let name = cand.Scan.idx.Table.idx_name in
-        if unique name then
-          (* Teach only from a real announced descent (the pessimistic
-             whole-index default after an estimation shortcut emits no
-             [Estimated] event and must not skew the cell) that is
-             inexact (exact cells have nothing to learn), paired with
-             exactly one completed walk. *)
-          match
-            (Hashtbl.find_opt estimates name, Hashtbl.find_opt completions name)
-          with
-          | Some (est, false, 1), Some (scanned, 1) ->
-              Feedback.observe (Table.feedback c.table) ~rate ~name
-                ~key:cand.Scan.ranges ~est ~actual:(float_of_int scanned);
-              incr observed
-          | _ -> ())
-      c.feedback_pending;
-    match c.cfg.metrics with
-    | Some m when !observed > 0 ->
-        let module M = Rdb_util.Metrics in
-        M.add (M.counter m "feedback.observations") !observed;
-        M.set (M.gauge m "feedback.cells")
-          (float_of_int (Feedback.cells (Table.feedback c.table)))
-    | _ -> ()
-  end
+    c.feedback_pending;
+  match c.cfg.metrics with
+  | Some m when !observed > 0 ->
+      let module M = Rdb_util.Metrics in
+      M.add (M.counter m "feedback.observations") !observed;
+      M.set (M.gauge m "feedback.cells")
+        (float_of_int (Feedback.cells (Table.feedback c.table)))
+  | _ -> ()
 
-let record_metrics c events =
+let record_metrics c events pairs =
   match c.cfg.metrics with
   | None -> ()
   | Some m ->
@@ -1189,22 +1034,20 @@ let record_metrics c events =
            (List.filter (function Trace.Feedback_applied _ -> true | _ -> false) events));
       List.iter
         (fun e -> M.observe (M.histogram ~buckets:error_buckets m "retrieval.estimate_error") e)
-        (estimate_errors events)
+        (estimate_errors pairs)
 
 let close c =
   match c.summary with
   | Some s -> s
   | None ->
       c.closed <- true;
-      (match c.tactic with
-      | Background_only | Fast_first_tactic | Sorted_tactic | Index_only_tactic
-      | Union_tactic ->
-          Trace.emit c.trace
-            (Trace.Span_end
-               { span = "foreground"; cost = Cost.total c.fgr_meter; rows = c.delivered });
-          Trace.emit c.trace
-            (Trace.Span_end { span = "background"; cost = Cost.total c.bgr_meter; rows = 0 })
-      | _ -> ());
+      if background_bearing c.tactic then begin
+        Trace.emit c.trace
+          (Trace.Span_end
+             { span = "foreground"; cost = Cost.total c.fgr_meter; rows = c.delivered });
+        Trace.emit c.trace
+          (Trace.Span_end { span = "background"; cost = Cost.total c.bgr_meter; rows = 0 })
+      end;
       Trace.emit c.trace
         (Trace.Span_end
            {
@@ -1222,8 +1065,12 @@ let close c =
         | None, None, None -> Completed
       in
       let events = Trace.events c.trace in
-      feed_back c events;
-      record_metrics c events;
+      let learning = c.cfg.feedback_rate > 0.0 && c.feedback_pending <> [] in
+      let pairs =
+        if learning || Option.is_some c.cfg.metrics then pair_estimates events else []
+      in
+      if learning then feed_back c pairs;
+      record_metrics c events pairs;
       let s =
         {
           rows_delivered = c.delivered;
@@ -1232,7 +1079,7 @@ let close c =
           tactic = c.tactic;
           goal = c.goal;
           goal_provenance = c.goal_provenance;
-          policy = Tactic.Policy.describe (policy_stack c);
+          policy = policy_description ~config:c.cfg c.tactic;
           status;
           trace = events;
         }
@@ -1242,18 +1089,5 @@ let close c =
 
 let run ?config ?limit table req =
   let c = open_ ?config table req in
-  let rows = ref [] in
-  let continue_ () =
-    match limit with Some n -> c.delivered < n | None -> true
-  in
-  let rec loop () =
-    if continue_ () then begin
-      match fetch c with
-      | Some row ->
-          rows := row :: !rows;
-          loop ()
-      | None -> ()
-    end
-  in
-  loop ();
-  (List.rev !rows, close c)
+  let rows = collect c ~limit:(Option.value limit ~default:max_int) snd in
+  (rows, close c)

@@ -23,22 +23,15 @@ open Rdb_exec
 
 type config = {
   jscan : Jscan.config;
-  fgr_buffer_cap : int;
-      (** foreground delivered-RID buffer capacity; overflow stops the
-          foreground (fast-first) or the background (index-only) *)
-  fgr_waste_cap : float;
-      (** stop the fast-first foreground when its wasted-fetch cost
-          exceeds this fraction of the guaranteed best *)
   speed_ratio : float;
       (** foreground:background cost-speed ratio (1.0 = equal, the
           optimum under hyperbolic cost distributions [Ant91B]) *)
-  default_goal : Goal.t;
   retry_limit : int;
       (** max consecutive transient-fault retries per access before the
           fault is treated as persistent (quarantine / fallback) *)
   batch_budget : float;
       (** cost budget per cursor batch (the {!Rdb_exec.Scan.cursor}
-          quantum).  [0.] — the default — runs one machine step per
+          quantum).  [0.] — the default — runs one tactic step per
           batch, the row-at-a-time protocol; larger budgets amortize
           per-step dispatch and buffer-pool probes on hot loops.  Like
           every config knob this steers cost only: delivered rows,
@@ -135,7 +128,8 @@ type summary = {
       (** the fault-policy ladder this retrieval armed, as rung names
           joined with [" ⇒ "] (e.g. ["retry(8) ⇒ quarantine ⇒
           abort-heap ⇒ tscan-fallback"]) — EXPLAIN's [policy:] line.
-          Always equal to [policy_description ~config tactic]. *)
+          Always equal to [policy_description ~config tactic]: both
+          derive from the one ladder each tactic kind arms. *)
   status : status;
   trace : Trace.event list;
 }
@@ -144,9 +138,9 @@ val policy_description : ?config:config -> tactic_kind -> string
 (** The degradation ladder a given tactic kind arms (DESIGN.md §17),
     without opening a cursor: bounded transient retry first, then —
     per tactic — background quarantine, the structured heap abort,
-    and the Tscan fallback for foreground index paths.  Kept in
-    lockstep with the armed {!Rdb_exec.Tactic.Policy} stack (pinned
-    by the oracle suite's coverage test). *)
+    and the Tscan fallback for foreground index paths.  Rendered by
+    {!Rdb_exec.Tactic.Policy.describe} from the same rung list a
+    cursor arms, so it cannot drift from [summary.policy]. *)
 
 type cursor
 
@@ -155,27 +149,12 @@ val fetch : cursor -> Row.t option
 (** Next qualifying row; [None] when exhausted.  Rows arrive in
     requested order if [order_by] was given. *)
 
-val fetch_pair : cursor -> (Rid.t * Row.t) option
-(** Like {!fetch} but exposing the record's RID (DELETE/UPDATE drive
-    this). *)
-
 val drain_pairs : cursor -> (Rid.t * Row.t) list
 (** Pump the cursor to exhaustion and return every remaining
-    qualifying row in delivery order (the SQL executor's materializing
-    path; Halloween-safe by construction — the scan completes before
-    the caller mutates anything). *)
-
-type step_result =
-  | Step_row of Rid.t * Row.t  (** a qualifying row was delivered *)
-  | Step_working  (** one quantum of work done, nothing delivered yet *)
-  | Step_done  (** exhausted (or cancelled/aborted; see the summary) *)
-
-val step : cursor -> step_result
-(** Advance by exactly one cost quantum (one scan-machine step, plus
-    the quota check and fault policies).  [fetch] is a loop over
-    [step]; the multi-query session scheduler ({!Session}) interleaves
-    cursors by calling [step] directly so that no query can hold the
-    engine for longer than a bounded amount of charged cost. *)
+    qualifying row with its RID, in delivery order (the SQL executor's
+    materializing path — DELETE/UPDATE need the RIDs; Halloween-safe
+    by construction — the scan completes before the caller mutates
+    anything). *)
 
 val spent : cursor -> float
 (** Total cost charged to this retrieval so far (foreground +
@@ -183,13 +162,16 @@ val spent : cursor -> float
     currency. *)
 
 val grant : cursor -> budget:float -> max_steps:int -> stop:(unit -> bool) -> on_row:(Row.t -> unit) -> bool
-(** One scheduler grant: drive {!step} until [stop ()] holds, [budget]
-    worth of cost has been charged since entry, or [max_steps] steps
-    ran (all checked before each step — a spent budget grants
-    nothing).  Delivered rows go to [on_row]; returns [true] iff the
-    retrieval exhausted during the grant.  This is
-    {!Rdb_exec.Driver.clocked_loop} over [step] — the one grant loop
-    the session scheduler uses for queries and repairs alike. *)
+(** One scheduler grant: advance the cursor one cost quantum at a time
+    (one tactic step, plus the quota check and fault policies) until
+    [stop ()] holds, [budget] worth of cost has been charged since
+    entry, or [max_steps] quanta ran (all checked before each quantum
+    — a spent budget grants nothing), so that no query can hold the
+    engine for longer than a bounded amount of charged cost.
+    Delivered rows go to [on_row]; returns [true] iff the retrieval
+    exhausted during the grant.  This is
+    {!Rdb_exec.Driver.clocked_loop} over the quantum — the one grant
+    loop the session scheduler uses for queries and repairs alike. *)
 
 val note_deadline : cursor -> deadline:float -> unit
 (** Cooperative cancellation at a grant boundary: record that the

@@ -50,5 +50,4 @@ val run : ?meter:Rdb_storage.Cost.t -> Table.t -> report
 val damage_to_string : index_report -> string
 (** ["clean"] or a semicolon-joined damage summary. *)
 
-val index_report_to_string : index_report -> string
 val report_to_string : report -> string

@@ -1,6 +1,9 @@
 open Rdb_btree
 module Dist = Rdb_dist.Dist
 
+(* Standard deviation attached to a descent estimate: 0 when exact,
+   otherwise growing with the split level (each level multiplies the
+   fanout uncertainty). *)
 let uncertainty_of_estimate ~estimate ~cardinality ~exact ~split_level =
   if exact || cardinality = 0 then 0.0
   else begin

@@ -17,9 +17,3 @@ val of_predicate :
     inexact leaf estimates are scaled by the factors the optimizer
     learned for the same (index, ranges) cells (DESIGN.md §13) —
     advice-only, like the distributions themselves. *)
-
-val uncertainty_of_estimate :
-  estimate:float -> cardinality:int -> exact:bool -> split_level:int -> float
-(** Standard deviation attached to a descent estimate: 0 when exact,
-    otherwise growing with the split level (each level multiplies the
-    fanout uncertainty). *)

@@ -25,7 +25,6 @@ let charge_cpu t n = t.cpu <- t.cpu + n
 let physical_reads t = t.physical
 let logical_reads t = t.logical
 let block_writes t = t.writes
-let cpu_ops t = t.cpu
 
 let total ?(weights = default_weights) t =
   (float_of_int t.physical *. weights.physical_read)

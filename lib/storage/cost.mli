@@ -31,7 +31,6 @@ val charge_cpu : t -> int -> unit
 val physical_reads : t -> int
 val logical_reads : t -> int
 val block_writes : t -> int
-val cpu_ops : t -> int
 
 val total : ?weights:weights -> t -> float
 (** Weighted cost. *)

@@ -79,8 +79,6 @@ let create plan =
     n_spill = 0;
   }
 
-let plan_of t = t.plan
-
 let persistent t ~file = List.mem file t.plan.persistent_files
 
 let transient_scope t ~cls ~file =

@@ -83,7 +83,6 @@ val plan :
 type t
 
 val create : plan -> t
-val plan_of : t -> plan
 
 val on_read : t -> cls:file_class -> file:int -> index:int -> hit:bool -> unit
 (** Called by the pool on every read access, after charging.
@@ -122,7 +121,6 @@ val injected_spill : t -> int
 val injected_total : t -> int
 
 val class_name : file_class -> string
-val kind_name : kind -> string
 
 val describe : failure -> string
 (** e.g. ["transient read fault on index file 3 block 17"]. *)

@@ -275,5 +275,3 @@ let iter t meter f =
         loop ()
   in
   loop ()
-
-let slots_per_page_hint t = t.max_slots

@@ -5,11 +5,6 @@ type 'a t = {
 
 let create () = { data = [||]; len = 0 }
 
-(* The capacity hint is dropped: a safe polymorphic preallocation would
-   need a dummy element, which interacts badly with the unboxed float
-   array representation.  Growth is amortized O(1) regardless. *)
-let with_capacity _n = create ()
-
 let length t = t.len
 
 let is_empty t = t.len = 0

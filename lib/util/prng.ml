@@ -11,6 +11,7 @@ let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* Next raw 64-bit output. *)
 let bits64 g =
   g.state <- Int64.add g.state golden_gamma;
   mix g.state
@@ -54,10 +55,6 @@ let shuffle g a =
 let choose g a =
   assert (Array.length a > 0);
   a.(int g (Array.length a))
-
-let exponential g ~mean =
-  let u = 1.0 -. float g 1.0 in
-  -.mean *. log u
 
 let normal g ~mean ~stddev =
   let u1 = 1.0 -. float g 1.0 in

@@ -409,14 +409,11 @@ let test_union_tactic_with_in_list () =
   check "union tactic over IN" true (s.R.tactic = R.Union_tactic);
   check "rows correct" true (sort_rows rows = sort_rows (oracle table pred))
 
-let test_fetch_pair_exposes_rids () =
+let test_drain_pairs_exposes_rids () =
   let table = fixture () in
   let open Predicate in
   let c = R.open_ table (R.request ("X" =% Value.int 4)) in
-  let rec drain acc =
-    match R.fetch_pair c with Some p -> drain (p :: acc) | None -> List.rev acc
-  in
-  let pairs = drain [] in
+  let pairs = R.drain_pairs c in
   ignore (R.close c);
   check "has rows" true (pairs <> []);
   let m = Rdb_storage.Cost.create () in
@@ -426,6 +423,56 @@ let test_fetch_pair_exposes_rids () =
       | Some stored -> check "rid points at the delivered row" true (Row.equal stored row)
       | None -> Alcotest.fail "dangling rid")
     pairs
+
+(* The ladder a retrieval arms and the one [policy_description]
+   renders come from one derivation: for every tactic kind, under a
+   non-default retry limit, they are the same string. *)
+let test_policy_description_per_tactic () =
+  let table = fixture () in
+  let open Predicate in
+  let config = { R.default_config with R.retry_limit = 3 } in
+  let no_bgr = { config with R.bgr_enabled = false } in
+  let fetch_needed = And [ "X" =% Value.int 5; "S" =% Value.str "s00001" ] in
+  let covered = And [ "X" =% Value.int 5; "Y" <% Value.int 300 ] in
+  let ordered = And [ "Y" <% Value.int 300; "S" =% Value.str "s00001" ] in
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (config, goal, order_by, projection, pred) ->
+      let _, s =
+        R.run ~config table (R.request ~explicit_goal:goal ~order_by ?projection pred)
+      in
+      check
+        (Printf.sprintf "%s: summary policy = description" (R.tactic_to_string s.R.tactic))
+        true
+        (s.R.policy = R.policy_description ~config s.R.tactic);
+      Hashtbl.replace seen s.R.tactic ())
+    [
+      (config, Goal.Total_time, [], None, Like ("S", "s0000%"));
+      (config, Goal.Total_time, [], None, fetch_needed);
+      (config, Goal.Fast_first, [], None, fetch_needed);
+      (config, Goal.Total_time, [], Some [ "X"; "Y" ], covered);
+      (no_bgr, Goal.Total_time, [], Some [ "X"; "Y" ], covered);
+      (config, Goal.Fast_first, [ "X" ], None, ordered);
+      (no_bgr, Goal.Fast_first, [ "X" ], None, ordered);
+      (config, Goal.Total_time, [], None, Or [ "X" =% Value.int 5; "Y" =% Value.int 7 ]);
+      (config, Goal.Total_time, [], None, "X" >% Value.int 100_000);
+    ];
+  List.iter
+    (fun k -> check (R.tactic_to_string k ^ " reached") true (Hashtbl.mem seen k))
+    R.
+      [
+        Static_tscan;
+        Static_sscan;
+        Static_fscan;
+        Background_only;
+        Fast_first_tactic;
+        Sorted_tactic;
+        Index_only_tactic;
+        Union_tactic;
+        Cancelled;
+      ];
+  check "retry limit rendered" true
+    (R.policy_description ~config R.Static_tscan = "retry(3) \xe2\x87\x92 abort-heap")
 
 (* Competition thresholds steer *cost*, never *results*: any
    configuration must return the oracle's rows. *)
@@ -662,7 +709,9 @@ let () =
           Alcotest.test_case "no fgr/bgr duplicates" `Quick test_no_duplicate_rows_from_fgr_bgr;
           Alcotest.test_case "union tactic" `Quick test_union_tactic_selected_and_correct;
           Alcotest.test_case "union over IN-list" `Quick test_union_tactic_with_in_list;
-          Alcotest.test_case "fetch_pair rids" `Quick test_fetch_pair_exposes_rids;
+          Alcotest.test_case "drain_pairs rids" `Quick test_drain_pairs_exposes_rids;
+          Alcotest.test_case "policy description per tactic" `Quick
+            test_policy_description_per_tactic;
           Alcotest.test_case "tactic matrix (goal x order x indexes)" `Quick
             test_tactic_matrix;
           QCheck_alcotest.to_alcotest prop_config_never_changes_results;
