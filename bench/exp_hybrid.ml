@@ -64,15 +64,8 @@ let row_key rows =
    under a retry-transient ladder; returns (rows, charged cost). *)
 let drain_tactic m tac =
   let out = ref [] in
-  let d =
-    Driver.make
-      (Scan.cursor_of_step ~cost:(fun () -> Cost.total m) tac)
-      Tactic.Policy.(seal (stack [ retry_transient ]))
-  in
-  (match
-     Driver.drain d ~budget:infinity
-       ~on_rows:(fun b -> List.iter (fun (_, r) -> out := r :: !out) b.Scan.rows)
-   with
+  let d = Driver.make tac Tactic.Policy.(seal (stack [ retry_transient ])) in
+  (match Driver.drain d ~on_row:(fun r -> out := r :: !out) with
   | Ok () -> ()
   | Error _ -> ());
   (List.rev !out, Cost.total m)

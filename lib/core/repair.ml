@@ -18,10 +18,9 @@ type t = {
   mutable pending : (Rid.t * Row.t) option;
       (* a row read from the heap whose insert faulted: replayed first *)
   mutable entries : int;
-  mutable pump : Scan.cursor option;
-      (* the copy loop under its fault ladder (Tactic.with_policy over
-         the shared driver; installed lazily — it closes over [t]); the
-         embedded driver owns the consecutive-fault count *)
+  mutable driver : Driver.t option;
+      (* the copy step under its fault ladder (installed lazily — it
+         closes over [t]); the driver owns the consecutive-fault count *)
   mutable result : bool option;
 }
 
@@ -75,7 +74,7 @@ let create ?(batch = default_batch) ?(retry_limit = default_retry_limit) table ~
       trace = Trace.create ();
       pending = None;
       entries = 0;
-      pump = None;
+      driver = None;
       result = None;
     }
   in
@@ -113,7 +112,7 @@ let finish t ok =
     (Trace.Repair_done { index = t.index; entries = t.entries; cost = spent t; ok });
   `Done ok
 
-(* One copy as a cursor step.  The heap cursor retries the same page
+(* One copy as a driver step.  The heap cursor retries the same page
    after a faulted read and (key, rid) inserts are idempotent, so
    transient faults replay the in-flight row instead of dropping or
    duplicating it. *)
@@ -164,29 +163,30 @@ let fault_policy t =
            give_up ~name:"give-up";
          ]))
 
-let pump_of t =
-  match t.pump with
-  | Some c -> c
+let driver_of t =
+  match t.driver with
+  | Some d -> d
   | None ->
-      let c =
-        Tactic.with_policy (fault_policy t)
-          (Scan.cursor_of_step
-             ~cost:(fun () -> Cost.total t.meter)
-             ~max_steps:t.batch
-             (fun () -> copy_step t))
-      in
-      t.pump <- Some c;
-      c
+      let d = Driver.make (fun () -> copy_step t) (fault_policy t) in
+      t.driver <- Some d;
+      d
 
-(* One scheduler quantum: one driver batch of up to [batch] copies. *)
+(* One scheduler quantum: up to [batch] copy steps under the fault
+   ladder.  A fault the ladder settles (a retry) ends the quantum
+   early, so its backoff charge is clocked by the next grant. *)
 let step t =
   match t.result with
   | Some ok -> `Done ok
-  | None -> (
-      match ((pump_of t).Scan.next_batch ~budget:infinity).Scan.status with
-      | Scan.More -> `Working
-      | Scan.Exhausted -> finish t true
-      | Scan.Faulted _ -> finish t false)
+  | None ->
+      let d = driver_of t in
+      let rec copy n =
+        match Driver.step d with
+        | Driver.Stepped Scan.Done -> finish t true
+        | Driver.Stopped _ -> finish t false
+        | Driver.Settled -> `Working
+        | Driver.Stepped _ -> if n < t.batch then copy (n + 1) else `Working
+      in
+      copy 1
 
 let run t =
   let rec loop () = match step t with `Working -> loop () | `Done ok -> ok in

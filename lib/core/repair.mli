@@ -21,10 +21,11 @@
 type t
 
 val create : ?batch:int -> ?retry_limit:int -> Rdb_engine.Table.t -> index:string -> t
-(** Start rebuilding [index].  [batch] (default 64) rows are copied per
-    {!step}; [retry_limit] (default 8) bounds consecutive transient
-    faults before the rebuild gives up.  Raises [Invalid_argument] on
-    an unknown index name. *)
+(** Start rebuilding [index].  Up to [batch] (default 64) rows are
+    copied per {!step} (a retried fault ends the step early);
+    [retry_limit] (default 8) bounds consecutive transient faults
+    before the rebuild gives up.  Raises [Invalid_argument] on an
+    unknown index name. *)
 
 val step : t -> [ `Working | `Done of bool ]
 (** One scheduler quantum of copying.  Idempotent after completion. *)

@@ -10,10 +10,6 @@ type config = {
   retry_limit : int;
       (** consecutive faulted quanta tolerated before a transient fault
           is escalated to the non-retriable policy *)
-  batch_budget : float;
-      (** cost budget per cursor batch; 0. = one step per batch (the
-          row-at-a-time protocol).  Steers amortization only: rows,
-          order, and charged cost are batch-size-independent *)
   bgr_enabled : bool;
       (** [false] drops the competitive background-refinement arms
           (index-only falls back to its foreground Sscan, sorted to its
@@ -40,7 +36,6 @@ let default_config =
     jscan = Jscan.default_config;
     speed_ratio = 1.0;
     retry_limit = 8;
-    batch_budget = 0.0;
     bgr_enabled = true;
     cost_quota = None;
     feedback_rate = 0.0;
@@ -125,9 +120,6 @@ type cursor = {
       (** the retrieval's only execution state: the composed tactic
           (DESIGN.md §17) that {!build} assembled for [tactic]; the
           Tscan fallback installs a new one *)
-  mutable drops : (unit -> unit) list;
-      (** the page-handle cache drops of the scans [tac] steps, run on
-          every batch boundary; replaced together with [tac] *)
   fgr_meter : Cost.t;
   bgr_meter : Cost.t;
   est_meter : Cost.t;
@@ -148,11 +140,9 @@ type cursor = {
       (** set at fault fallback: the replacement Tscan must not
           re-deliver rows the faulted scan already produced *)
   mutable driver : Driver.t option;
-      (** the shared cursor driver pumping [tac]; installed by the
+      (** the shared step driver stepping [tac]; installed by the
           first quantum (it closes over this record).
           Consecutive-fault counting lives in the driver *)
-  mutable inbox : (Rid.t * Row.t) list;
-      (** batch rows accepted but not yet handed to [step] *)
   mutable pending_bg : (Fault.failure -> unit) option;
       (** quarantine action for a fault surfaced by a background
           competitor this quantum; [None] means the fault is the
@@ -189,6 +179,16 @@ let covering_sscan_choice table (classified : Initial_stage.classified) =
         List.fold_left (fun acc c -> if cost c < cost acc then c else acc) (List.hd ss) ss
       in
       if cost best <= Cost_model.tscan_cost table then Some best else None
+
+(* The candidate whose key order a tactic delivers in: what [build]
+   scans for the static Sscan and the Fscan kinds, and so the one
+   [open_] must ask whether ORDER BY is already satisfied. *)
+let order_lead table (classified : Initial_stage.classified) = function
+  | Static_sscan -> covering_sscan_choice table classified
+  | Static_fscan | Sorted_tactic -> classified.Initial_stage.order_index
+  | Static_tscan | Background_only | Fast_first_tactic | Index_only_tactic | Union_tactic
+  | Cancelled ->
+      None
 
 let decide table goal ~bgr ~order_by ~(classified : Initial_stage.classified) trace =
   let emit tactic reason =
@@ -256,19 +256,11 @@ let bg_failed c quarantine f =
   c.pending_bg <- Some quarantine;
   Scan.Failed f
 
-(* Page-handle caches are only sound within one batch: each scan that
-   holds one registers its drop as it is created, and the cursor runs
-   every registered drop on each batch boundary. *)
-let on_batch c drop = c.drops <- drop :: c.drops
-
 let tscan c =
   let t = Tscan.create c.table c.fgr_meter c.restriction in
   fun () -> Tscan.step t
 
-let fscan c cand =
-  let f = Fscan.create c.table c.fgr_meter cand ~restriction:c.restriction in
-  on_batch c (fun () -> Fscan.drop_cache f);
-  f
+let fscan c cand = Fscan.create c.table c.fgr_meter cand ~restriction:c.restriction
 
 let jscan c candidates = Jscan.create c.table c.bgr_meter c.cfg.jscan c.trace ~candidates
 
@@ -289,7 +281,6 @@ let final_stage c ~delivered rids =
     Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction
       ~exclude:(fun rid -> Hashtbl.mem delivered rid)
   in
-  on_batch c (fun () -> Final_stage.drop_cache fs);
   fun () -> Final_stage.step fs
 
 (* Successor thunk for [Tactic.then_]: the stage that follows a settled
@@ -438,22 +429,17 @@ let index_only c (cand : Scan.candidate) j =
    background settles, then the final stage), cost competition
    ([race]: the §3 foreground/background switch), and mid-flight
    takeover ([preempt]: index-only's sure list replacing the Sscan).
-   Per-arm state lives in the arms' closures; scans holding a
-   page-handle cache register its drop with the cursor.  [decide] only
-   picks the Sscan kinds with a covering choice, and the Fscan kinds
-   with an order index. *)
-let build c (classified : Initial_stage.classified) = function
+   Per-arm state lives in the arms' closures.  [lead] is the kind's
+   {!order_lead}: [decide] only picks the static Sscan with a covering
+   choice, and the Fscan kinds with an order index. *)
+let build c (classified : Initial_stage.classified) ~lead = function
   | Cancelled -> Tactic.halt
   | Static_tscan -> tscan c
   | Static_sscan ->
-      let s =
-        Sscan.create c.table c.fgr_meter
-          (Option.get (covering_sscan_choice c.table classified))
-          ~restriction:c.restriction
-      in
+      let s = Sscan.create c.table c.fgr_meter (Option.get lead) ~restriction:c.restriction in
       fun () -> Sscan.step s
   | Static_fscan ->
-      let f = fscan c (Option.get classified.Initial_stage.order_index) in
+      let f = fscan c (Option.get lead) in
       fun () -> Fscan.step f
   | Background_only ->
       let j = jscan c classified.Initial_stage.jscan_candidates in
@@ -461,7 +447,7 @@ let build c (classified : Initial_stage.classified) = function
         (stage2 c ~delivered:(Hashtbl.create 0) (fun () -> Option.get (Jscan.outcome j)))
   | Fast_first_tactic -> fast_first c (jscan c classified.Initial_stage.jscan_candidates)
   | Sorted_tactic ->
-      let oi = Option.get classified.Initial_stage.order_index in
+      let oi = Option.get lead in
       (* The background Jscan builds a *filter*: it competes against
          the foreground Fscan's remaining cost (scan plus one fetch per
          in-range entry), not against a Tscan. *)
@@ -549,19 +535,14 @@ let open_ ?(config = default_config) table (req : request) =
   (* The cursor for a chosen tactic, its tactic built (which may run a
      clustering probe, so it belongs to planning). *)
   let cursor_for tactic (classified : Initial_stage.classified) =
-    (* Ordered iff driven by an order-providing index. *)
+    (* Ordered iff driven by an order-providing index: the very
+       candidate [build] scans. *)
+    let lead = order_lead table classified tactic in
     let ordered_by_index =
-      let provides_order (cand : Scan.candidate) =
-        Table.index_provides_order cand.Scan.idx ~order:req.order_by
-      in
-      match tactic with
-      | Sorted_tactic | Static_fscan ->
-          Option.fold ~none:false ~some:provides_order classified.Initial_stage.order_index
-      | Static_sscan -> (
-          match classified.Initial_stage.self_sufficient with
-          | c :: _ -> provides_order c
-          | [] -> false)
-      | _ -> false
+      Option.fold ~none:false
+        ~some:(fun (cand : Scan.candidate) ->
+          Table.index_provides_order cand.Scan.idx ~order:req.order_by)
+        lead
     in
     (* Candidates a completed scan can later teach from: the inexact
        ones (exact estimates have nothing to learn). *)
@@ -583,7 +564,6 @@ let open_ ?(config = default_config) table (req : request) =
         goal_provenance;
         restriction;
         tac = Tactic.halt;
-        drops = [];
         fgr_meter = Cost.create ();
         bgr_meter = Cost.create ();
         est_meter;
@@ -596,7 +576,6 @@ let open_ ?(config = default_config) table (req : request) =
         delivered_rids = Hashtbl.create 64;
         exclude_delivered = false;
         driver = None;
-        inbox = [];
         pending_bg = None;
         aborted = None;
         quota_hit = None;
@@ -607,7 +586,7 @@ let open_ ?(config = default_config) table (req : request) =
         summary = None;
       }
     in
-    c.tac <- build c classified tactic;
+    c.tac <- build c classified ~lead tactic;
     c
   in
   let c =
@@ -717,7 +696,6 @@ let fallback_tscan c f ~consec:_ =
   Trace.emit c.trace (Trace.Fallback_tscan { reason = Fault.describe f });
   if c.ordered_by_index then c.needs_sort <- true;
   c.exclude_delivered <- true;
-  c.drops <- [];
   c.tac <- tscan c;
   Some Driver.Absorb
 
@@ -753,17 +731,12 @@ let driver_of c =
   match c.driver with
   | Some d -> d
   | None ->
-      let cursor =
-        Scan.cursor_of_step
-          ~cost:(fun () -> total_cost c)
-          ~on_yield:(fun () -> List.iter (fun drop -> drop ()) c.drops)
-          (fun () ->
-            (* [pending_bg] is only ever set on a path that returns
-               [Failed], which ends the batch — so clearing it per step
-               keeps the blame assignment of the step-at-a-time
-               protocol. *)
-            c.pending_bg <- None;
-            c.tac ())
+      (* [pending_bg] is only ever set on a path that returns
+         [Failed], so clearing it before each step blames exactly that
+         step's fault. *)
+      let step () =
+        c.pending_bg <- None;
+        c.tac ()
       in
       let policy =
         Tactic.Policy.seal
@@ -772,59 +745,35 @@ let driver_of c =
               (Trace.Fault_detected { site = fault_site c f; fault = Fault.describe f }))
           (Tactic.Policy.stack (rungs c.cfg c.tactic (Some c)))
       in
-      let d = Driver.make cursor policy in
+      let d = Driver.make step policy in
       c.driver <- Some d;
       d
 
-(* Batch consumption: exclusion and delivered-RID bookkeeping happen
-   here, *before* any fault policy could swap in a fallback scan — a
-   fallback must see every row the batch delivered ahead of the fault
-   as already delivered. *)
-let accept_batch c (b : Scan.batch) =
-  let keep =
-    List.filter
-      (fun (rid, _) ->
-        if c.exclude_delivered && Hashtbl.mem c.delivered_rids rid then false
-        else begin
-          Hashtbl.replace c.delivered_rids rid ();
-          true
-        end)
-      b.Scan.rows
-  in
-  c.inbox <- c.inbox @ keep
-
-(* One quantum of raw progress: hand out a buffered row if the last
-   batch left any, otherwise check the quota and pump the driver for
-   one batch — the unit the multi-query session scheduler interleaves
-   by.  At the default [batch_budget = 0.] a batch is a single tactic
-   step, reproducing the row-at-a-time protocol exactly. *)
+(* One quantum of raw progress: check the quota, then one tactic step
+   under the fault policy — the unit the multi-query session scheduler
+   interleaves by.  A delivered row is recorded (or, after a fallback,
+   suppressed as already delivered) before any later fault policy
+   could install a scan that re-covers it. *)
 let quantum_raw c =
-  match c.inbox with
-  | p :: rest ->
-      c.inbox <- rest;
-      `Row p
-  | [] ->
-      if c.aborted <> None || c.quota_hit <> None || c.deadline_hit <> None then `Done
-      else begin
-        match c.cfg.cost_quota with
-        | Some quota when total_cost c > quota ->
-            Trace.emit c.trace (Trace.Quota_exceeded { spent = total_cost c; quota });
-            c.quota_hit <- Some (total_cost c, quota);
-            `Done
-        | _ -> (
-            let progress =
-              Driver.pump (driver_of c) ~budget:c.cfg.batch_budget
-                ~on_rows:(accept_batch c)
-            in
-            match c.inbox with
-            | p :: rest ->
-                c.inbox <- rest;
-                `Row p
-            | [] -> (
-                match progress with
-                | Driver.More | Driver.Stopped _ -> `Working
-                | Driver.Exhausted -> `Done))
-      end
+  if c.aborted <> None || c.quota_hit <> None || c.deadline_hit <> None then `Done
+  else
+    match c.cfg.cost_quota with
+    | Some quota when total_cost c > quota ->
+        Trace.emit c.trace (Trace.Quota_exceeded { spent = total_cost c; quota });
+        c.quota_hit <- Some (total_cost c, quota);
+        `Done
+    | _ -> (
+        match Driver.step (driver_of c) with
+        | Driver.Stepped (Scan.Deliver (rid, _))
+          when c.exclude_delivered && Hashtbl.mem c.delivered_rids rid ->
+            `Working
+        | Driver.Stepped (Scan.Deliver (rid, row)) ->
+            Hashtbl.replace c.delivered_rids rid ();
+            `Row (rid, row)
+        | Driver.Stepped Scan.Done -> `Done
+        | Driver.Stepped (Scan.Continue | Scan.Failed _) | Driver.Settled | Driver.Stopped _
+          ->
+            `Working)
 
 (* One quantum in requested order: a delivered row, work without a
    row, or the end of the stream.  When the order needs a post-sort,

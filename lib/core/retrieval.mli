@@ -29,15 +29,6 @@ type config = {
   retry_limit : int;
       (** max consecutive transient-fault retries per access before the
           fault is treated as persistent (quarantine / fallback) *)
-  batch_budget : float;
-      (** cost budget per cursor batch (the {!Rdb_exec.Scan.cursor}
-          quantum).  [0.] — the default — runs one tactic step per
-          batch, the row-at-a-time protocol; larger budgets amortize
-          per-step dispatch and buffer-pool probes on hot loops.  Like
-          every config knob this steers cost only: delivered rows,
-          their order, and the charged totals are identical across
-          budgets (pinned by the batch-invariance properties in
-          [test_exec] / [test_oracle] and [bench -e batch]) *)
   bgr_enabled : bool;
       (** [false] drops the {e competitive} background-refinement arms:
           the index-only tactic degrades to its foreground Sscan and

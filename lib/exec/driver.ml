@@ -1,13 +1,13 @@
-(* The one generic cursor driver.
+(* The one generic step driver.
 
    Every execution loop in the system — Retrieval quanta, Uscan/Jscan
-   completion runs, Repair batches, Session grants — pumps a
-   Scan.cursor through this module.  The driver owns the mechanics
-   every loop used to reimplement: consecutive-fault counting and the
-   dispatch to a caller-supplied fault policy.  Policies stay with the
-   callers (retrieval quarantines and falls back; union machinery
-   abandons; repair gives up) because *what* to do about a fault is
-   strategy knowledge — *when* to ask is not. *)
+   completion runs, Repair quanta, Session grants — steps a
+   [unit -> Scan.step] function through this module.  The driver owns
+   the mechanics every loop used to reimplement: consecutive-fault
+   counting and the dispatch to a caller-supplied fault policy.
+   Policies stay with the callers (retrieval quarantines and falls
+   back; union machinery abandons; repair gives up) because *what* to
+   do about a fault is strategy knowledge — *when* to ask is not. *)
 
 type decision =
   | Retry
@@ -17,50 +17,42 @@ type decision =
 type policy = { on_fault : Rdb_storage.Fault.failure -> consec:int -> decision }
 
 type t = {
-  cursor : Scan.cursor;
+  step_fn : unit -> Scan.step;
   policy : policy;
   mutable consec : int;  (* consecutive faults without a successful step *)
 }
 
-let make cursor policy = { cursor; policy; consec = 0 }
+let make step_fn policy = { step_fn; policy; consec = 0 }
 
 type progress =
-  | More
-  | Exhausted
+  | Stepped of Scan.step
+  | Settled
   | Stopped of Rdb_storage.Fault.failure
 
-let pump d ~budget ~on_rows =
-  let b = d.cursor.Scan.next_batch ~budget in
-  (* Rows first: a batch that delivered rows and then faulted must
-     hand those rows to the consumer *before* the policy runs — a
-     fallback scan re-covering them would otherwise redeliver. *)
-  on_rows b;
-  match b.Scan.status with
-  | Scan.More ->
-      d.consec <- 0;
-      More
-  | Scan.Exhausted ->
-      d.consec <- 0;
-      Exhausted
-  | Scan.Faulted f -> (
-      (* Any successful step inside the batch breaks the consecutive
-         run, exactly as step-at-a-time pumping would have. *)
-      if b.Scan.steps > 1 then d.consec <- 0;
+let step d =
+  match d.step_fn () with
+  | Scan.Failed f -> (
       d.consec <- d.consec + 1;
       match d.policy.on_fault f ~consec:d.consec with
-      | Retry -> More
+      | Retry -> Settled
       | Absorb ->
           d.consec <- 0;
-          More
+          Settled
       | Stop ->
           d.consec <- 0;
           Stopped f)
+  | s ->
+      d.consec <- 0;
+      Stepped s
 
-let drain d ~budget ~on_rows =
+let drain d ~on_row =
   let rec loop () =
-    match pump d ~budget ~on_rows with
-    | More -> loop ()
-    | Exhausted -> Ok ()
+    match step d with
+    | Stepped (Scan.Deliver (_, row)) ->
+        on_row row;
+        loop ()
+    | Stepped (Scan.Continue | Scan.Failed _) | Settled -> loop ()
+    | Stepped Scan.Done -> Ok ()
     | Stopped f -> Error f
   in
   loop ()
@@ -68,7 +60,7 @@ let drain d ~budget ~on_rows =
 (* Cost-clocked grant loop: the shape Session used to duplicate for
    queries and repairs.  All three bounds are checked before each
    iteration (a spent budget grants zero steps), and [steps] counts
-   [step] invocations — pump calls, not scan steps. *)
+   [step] invocations — caller quanta, not scan steps. *)
 let clocked_loop ~spent ~budget ~max_steps ~stop ~step =
   let start = spent () in
   let steps = ref 0 in

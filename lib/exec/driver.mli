@@ -1,19 +1,19 @@
-(** The one generic cursor driver.
+(** The one generic step driver.
 
     All drive loops — retrieval quanta, union/joint-scan completion
-    runs, online repair, session grants — pump {!Scan.cursor}s through
-    this module, so consecutive-fault bookkeeping and the
+    runs, online repair, session grants — step a {!Scan.step} function
+    through this module, so consecutive-fault bookkeeping and the
     fault-policy dispatch exist exactly once.  Callers keep the
     policy: what a fault *means* (retry with backoff, quarantine the
     index, fall back to Tscan, abandon the union, fail the repair) is
     strategy knowledge; counting and asking is not. *)
 
 type decision =
-  | Retry  (** pump again; the faulted step will be re-attempted *)
+  | Retry  (** step again; the faulted access will be re-attempted *)
   | Absorb
       (** the policy changed course (quarantined / fell back /
-          abandoned); the cursor now reflects the new course — keep
-          pumping and reset the consecutive-fault count *)
+          abandoned); the step function now reflects the new course —
+          keep stepping and reset the consecutive-fault count *)
   | Stop  (** give up; surface the failure to the caller *)
 
 type policy = { on_fault : Rdb_storage.Fault.failure -> consec:int -> decision }
@@ -22,21 +22,22 @@ type policy = { on_fault : Rdb_storage.Fault.failure -> consec:int -> decision }
 
 type t
 
-val make : Scan.cursor -> policy -> t
+val make : (unit -> Scan.step) -> policy -> t
 
 type progress =
-  | More  (** keep pumping *)
-  | Exhausted  (** the cursor completed *)
-  | Stopped of Rdb_storage.Fault.failure  (** the policy gave up *)
+  | Stepped of Scan.step  (** the step did not fault (never [Failed]) *)
+  | Settled  (** the step faulted and the policy retried or absorbed it *)
+  | Stopped of Rdb_storage.Fault.failure  (** the step faulted and the policy gave up *)
 
-val pump : t -> budget:float -> on_rows:(Scan.batch -> unit) -> progress
-(** One batch: pull [next_batch ~budget], hand the whole batch to
-    [on_rows] {e before} running the fault policy (rows delivered
-    ahead of a fault must reach the consumer before any fallback
-    could redeliver them), then settle the batch status. *)
+val step : t -> progress
+(** One step under the policy.  A step either delivers or fails, so
+    a delivered row always reaches the caller before any policy could
+    swap in a fallback that re-covers it. *)
 
-val drain : t -> budget:float -> on_rows:(Scan.batch -> unit) -> (unit, Rdb_storage.Fault.failure) result
-(** Pump to completion.  [Error f] when the policy stopped. *)
+val drain :
+  t -> on_row:(Rdb_data.Row.t -> unit) -> (unit, Rdb_storage.Fault.failure) result
+(** Step to completion, handing each delivered row to [on_row].
+    [Error f] when the policy stopped. *)
 
 val clocked_loop :
   spent:(unit -> float) ->

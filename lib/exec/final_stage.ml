@@ -8,24 +8,12 @@ type t = {
   rids : Rid.t array;
   restriction : Predicate.t;
   exclude : Rid.t -> bool;
-  cache : Heap_file.fetch_cache;
-      (** sorted RIDs revisit pages back to back; valid for one batch
-          quantum — the driving cursor's [on_yield] invalidates it *)
   mutable pos : int;
   mutable skipped : int;
 }
 
 let create table meter ~rids ~restriction ~exclude =
-  {
-    table;
-    meter;
-    rids;
-    restriction;
-    exclude;
-    cache = Heap_file.fetch_cache ();
-    pos = 0;
-    skipped = 0;
-  }
+  { table; meter; rids; restriction; exclude; pos = 0; skipped = 0 }
 
 let step t =
   if t.pos >= Array.length t.rids then Scan.Done
@@ -40,7 +28,7 @@ let step t =
     else begin
       (* Advance only after the fetch succeeds: a faulted quantum
          leaves [pos] on this RID so stepping again retries it. *)
-      match Heap_file.fetch_via (Table.heap t.table) t.meter t.cache rid with
+      match Heap_file.fetch (Table.heap t.table) t.meter rid with
       | exception Fault.Injected f -> Scan.Failed f
       | None ->
           t.pos <- t.pos + 1;
@@ -53,6 +41,5 @@ let step t =
     end
   end
 
-let drop_cache t = Heap_file.invalidate_cache t.cache
 let meter t = t.meter
 let skipped_delivered t = t.skipped

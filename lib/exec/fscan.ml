@@ -10,9 +10,6 @@ type t = {
   restriction : Predicate.t;
   prefilter : Predicate.t;  (** restriction part decidable on the key alone *)
   cursor : Btree.multi_cursor;
-  cache : Heap_file.fetch_cache;
-      (** page-handle cache for the record fetches; valid for one
-          batch quantum — the cursor's [on_yield] invalidates it *)
   mutable filter : Filter.t option;
   mutable pending : (Btree.key * Rdb_data.Rid.t) option;
       (** entry pulled from the cursor whose quantum has not completed:
@@ -32,7 +29,6 @@ let create table meter (cand : Scan.candidate) ~restriction =
     restriction;
     prefilter = restriction;
     cursor = Btree.multi_cursor cand.Scan.idx.Table.tree meter cand.Scan.ranges;
-    cache = Heap_file.fetch_cache ();
     filter = None;
     pending = None;
     fetched = 0;
@@ -74,7 +70,7 @@ let step t =
             t.saved <- t.saved + 1;
             Scan.Continue
         | _ -> (
-            match Heap_file.fetch_via (Table.heap t.table) t.meter t.cache rid with
+            match Heap_file.fetch (Table.heap t.table) t.meter rid with
             | exception Fault.Injected f -> Scan.Failed f
             | None ->
                 t.pending <- None;
@@ -89,14 +85,6 @@ let step t =
                   Scan.Continue
                 end)
       end
-
-let drop_cache t = Heap_file.invalidate_cache t.cache
-
-let cursor t =
-  Scan.cursor_of_step
-    ~cost:(fun () -> Cost.total t.meter)
-    ~on_yield:(fun () -> drop_cache t)
-    (fun () -> step t)
 
 let meter t = t.meter
 let fetched t = t.fetched

@@ -21,15 +21,6 @@ val set_filter : t -> Filter.t -> unit
 
 val step : t -> Scan.step
 
-val cursor : t -> Scan.cursor
-(** The scan as a batch-quantum cursor.  Record fetches inside one
-    batch share a page-handle cache ({!Rdb_storage.Heap_file.fetch_via});
-    the cursor invalidates it on every batch boundary. *)
-
-val drop_cache : t -> unit
-(** Invalidate the fetch cache.  Callers driving [step] directly must
-    call this whenever control leaves their quantum. *)
-
 val meter : t -> Cost.t
 
 val fetched : t -> int

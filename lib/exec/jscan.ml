@@ -450,25 +450,22 @@ let quarantine t f =
 
 let outcome t = t.finished
 
-(* Row-less cursor: Jscan produces a RID list (or a recommendation)
-   through [outcome]; faults surface as batch status so the shared
-   driver's policy decides between retry and quarantine. *)
-let cursor t =
-  Scan.cursor_of_step
-    ~cost:(fun () -> Cost.total t.meter)
-    (fun () ->
-      match step t with
-      | `Working -> Scan.Continue
-      | `Finished _ -> Scan.Done
-      | `Faulted f -> Scan.Failed f)
-
+(* Jscan produces a RID list (or a recommendation) through [outcome],
+   not rows, so every productive step maps to [Continue]; faults go to
+   the shared driver's policy, which decides between retry and
+   quarantine. *)
 let run t =
   let policy =
     Tactic.Policy.(
       seal (stack [ retry_transient; absorb_with ~name:"quarantine" (quarantine t) ]))
   in
-  let d = Driver.make (cursor t) policy in
-  (match Driver.drain d ~budget:infinity ~on_rows:(fun _ -> ()) with
+  let step () =
+    match step t with
+    | `Working -> Scan.Continue
+    | `Finished _ -> Scan.Done
+    | `Faulted f -> Scan.Failed f
+  in
+  (match Driver.drain (Driver.make step policy) ~on_row:ignore with
   | Ok () -> ()
   | Error _ -> (* the quarantine rung absorbs, never stops *) assert false);
   match t.finished with Some o -> o | None -> assert false

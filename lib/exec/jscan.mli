@@ -81,19 +81,14 @@ val quarantine : t -> Fault.failure -> unit
     degrades to [Recommend_tscan]).  The competition continues with
     the remaining candidates.  No-op if no fault is pending. *)
 
-val cursor : t -> Scan.cursor
-(** The competition as a row-less batch-quantum cursor: productive
-    steps yield no rows (the result is the {!outcome} RID list),
-    faults surface as batch status for the driver's policy. *)
-
 val outcome : t -> outcome option
 (** [None] until the competition settles. *)
 
 val run : t -> outcome
-(** Drain {!cursor} through the shared driver under the
-    [retry-transient ⇒ quarantine] {!Tactic.Policy} ladder: transient
-    faults retry in place, anything else quarantines the blamed party
-    and the competition continues. *)
+(** Step the competition to completion through the shared driver
+    under the [retry-transient ⇒ quarantine] {!Tactic.Policy} ladder:
+    transient faults retry in place, anything else quarantines the
+    blamed party and the competition continues. *)
 
 val borrow : t -> Rid.t option
 (** Next not-yet-borrowed accepted RID, if any (fast-first tactic). *)

@@ -22,51 +22,3 @@ let synthetic_row table idx (key : Btree.key) =
     (fun pos col_id -> if pos < Array.length key then row.(col_id) <- key.(pos))
     idx.Table.key_ids;
   row
-
-(* --- batch-quantum cursors ------------------------------------------- *)
-
-type status =
-  | More
-  | Exhausted
-  | Faulted of Rdb_storage.Fault.failure
-
-type batch = {
-  rows : (Rid.t * Row.t) list;
-  cost : float;
-  steps : int;
-  status : status;
-}
-
-type cursor = { next_batch : budget:float -> batch }
-
-let cursor_of_step ~cost ?(max_steps = max_int) ?(on_yield = fun () -> ()) step_fn =
-  if max_steps < 1 then invalid_arg "Scan.cursor_of_step: max_steps < 1";
-  let next_batch ~budget =
-    let start = cost () in
-    let rows = ref [] in
-    let steps = ref 0 in
-    let finish status =
-      on_yield ();
-      { rows = List.rev !rows; cost = cost () -. start; steps = !steps; status }
-    in
-    let rec loop () =
-      (* Budget is checked *before* each step, never mid-step, and the
-         first step is unconditional: a batch always makes progress,
-         and [budget = 0.] degenerates to exactly one step — the
-         pre-batching protocol, bit for bit. *)
-      if !steps > 0 && (!steps >= max_steps || cost () -. start >= budget) then
-        finish More
-      else begin
-        incr steps;
-        match step_fn () with
-        | Deliver (rid, row) ->
-            rows := (rid, row) :: !rows;
-            loop ()
-        | Continue -> loop ()
-        | Done -> finish Exhausted
-        | Failed f -> finish (Faulted f)
-      end
-    in
-    loop ()
-  in
-  { next_batch }

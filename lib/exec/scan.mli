@@ -32,46 +32,3 @@ type candidate = {
 val synthetic_row : Table.t -> Table.index -> Btree.key -> Row.t
 (** A schema-width row with the index key columns filled in and NULL
     elsewhere (for index-only evaluation and delivery). *)
-
-(** {1 Batch-quantum cursors}
-
-    The uniform execution interface: every strategy exposes a
-    {!cursor}, and exactly one generic driver ({!Rdb_exec.Driver})
-    pumps it.  A batch runs whole steps until the charged cost reaches
-    [budget] (checked {e before} each step, so the first step always
-    runs and a single expensive step may overshoot), then yields the
-    rows it delivered.  [budget = 0.] therefore reproduces the
-    one-step-per-quantum protocol exactly; larger budgets only
-    coarsen {e when} control returns, never what is delivered, in
-    what order, or what is charged — batching amortizes per-step
-    dispatch and buffer-pool residency probes, nothing else. *)
-
-type status =
-  | More  (** budget (or step cap) reached; pump again *)
-  | Exhausted  (** the scan completed during this batch *)
-  | Faulted of Rdb_storage.Fault.failure
-      (** the batch's last step faulted with positions unchanged;
-          rows delivered by earlier steps of the batch are still in
-          [rows] and must be consumed before any fallback runs *)
-
-type batch = {
-  rows : (Rid.t * Row.t) list;  (** in delivery order *)
-  cost : float;  (** cost actually charged during the batch *)
-  steps : int;  (** steps taken, including a final faulted one *)
-  status : status;
-}
-
-type cursor = { next_batch : budget:float -> batch }
-
-val cursor_of_step :
-  cost:(unit -> float) ->
-  ?max_steps:int ->
-  ?on_yield:(unit -> unit) ->
-  (unit -> step) ->
-  cursor
-(** Lift a step function into a cursor.  [cost ()] reads the charged
-    total the budget is clocked against; [max_steps] (default
-    unlimited) additionally caps steps per batch (raises
-    [Invalid_argument] if < 1); [on_yield] runs on every batch
-    boundary — the hook cursors use to invalidate page-handle caches
-    whose validity window is one batch. *)

@@ -99,24 +99,6 @@ let distinct seen tac () =
       s
   | s -> s
 
-let with_policy policy inner =
-  let d = Driver.make inner policy in
-  {
-    Scan.next_batch =
-      (fun ~budget ->
-        let captured =
-          ref { Scan.rows = []; cost = 0.0; steps = 0; status = Scan.More }
-        in
-        let progress = Driver.pump d ~budget ~on_rows:(fun b -> captured := b) in
-        let status =
-          match progress with
-          | Driver.More -> Scan.More
-          | Driver.Exhausted -> Scan.Exhausted
-          | Driver.Stopped f -> Scan.Faulted f
-        in
-        { !captured with Scan.status });
-  }
-
 module Policy = struct
   type rung = {
     names : string list;

@@ -22,8 +22,8 @@ open Rdb_storage
 
 type t = unit -> Scan.step
 (** One quantum of work.  The existing step functions ([Tscan.step],
-    [Sscan.step], …) are tactics as-is; cursors are obtained through
-    {!Scan.cursor_of_step}. *)
+    [Sscan.step], …) are tactics as-is, and {!Driver.make} steps one
+    under a fault policy. *)
 
 val halt : t
 (** Yields [Done] forever.  Identity for {!then_}: [then_ t (fun () ->
@@ -91,15 +91,6 @@ val distinct : (Rid.t, unit) Hashtbl.t -> t -> t
     the faulted arm's ground without redelivering.  Identity when [tac]
     never repeats a RID and [seen] starts empty. *)
 
-val with_policy : Driver.policy -> Scan.cursor -> Scan.cursor
-(** A {!Driver} fault policy as a cursor transformer: batches pass
-    through with rows, cost, and steps unchanged, but the status
-    reflects the policy's settlement — a retried or absorbed fault
-    reads [More] (pump again), and [Faulted] surfaces only when the
-    policy stopped.  Consecutive-fault counting lives in the embedded
-    driver and persists across batches, exactly as if the caller had
-    pumped {!Driver.make} directly. *)
-
 (** Fault policies as composable ladders.  A {!Policy.rung} is one
     recourse that either decides a fault or declines it; {!Policy.orelse}
     tries the left rung first — retrieval's ladder is literally
@@ -143,7 +134,7 @@ module Policy : sig
   val absorb_with : name:string -> (Fault.failure -> unit) -> rung
   (** Always decides [Absorb] after running the action — which must
       redirect the underlying scan (quarantine / abandon / fall back)
-      so pumping can continue. *)
+      so stepping can continue. *)
 
   val give_up : name:string -> rung
   (** Always decides [Stop]: the terminal rung of ladders with no

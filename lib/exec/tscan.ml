@@ -39,6 +39,5 @@ let step t =
         else Scan.Continue
   end
 
-let cursor t = Scan.cursor_of_step ~cost:(fun () -> Cost.total t.meter) (fun () -> step t)
 let meter t = t.meter
 let examined t = t.examined

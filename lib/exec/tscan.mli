@@ -15,9 +15,6 @@ val create : Table.t -> Cost.t -> Predicate.t -> t
 
 val step : t -> Scan.step
 
-val cursor : t -> Scan.cursor
-(** The scan as a batch-quantum cursor (the uniform driver
-    interface). *)
 
 val meter : t -> Cost.t
 val examined : t -> int

@@ -197,25 +197,20 @@ let abandon t f =
 
 let outcome t = t.finished
 
-(* Row-less cursor: the union delivers a RID list (or a Tscan
-   recommendation) through [outcome], not rows, so every productive
-   step maps to [Continue]. *)
-let cursor t =
-  Scan.cursor_of_step
-    ~cost:(fun () -> Cost.total t.meter)
-    (fun () ->
-      match step t with
-      | `Working -> Scan.Continue
-      | `Finished _ -> Scan.Done
-      | `Faulted f -> Scan.Failed f)
-
+(* The union delivers a RID list (or a Tscan recommendation) through
+   [outcome], not rows, so every productive step maps to [Continue]. *)
 let run t =
   let policy =
     Tactic.Policy.(
       seal (stack [ retry_transient; absorb_with ~name:"abandon" (abandon t) ]))
   in
-  let d = Driver.make (cursor t) policy in
-  (match Driver.drain d ~budget:infinity ~on_rows:(fun _ -> ()) with
+  let step () =
+    match step t with
+    | `Working -> Scan.Continue
+    | `Finished _ -> Scan.Done
+    | `Faulted f -> Scan.Failed f
+  in
+  (match Driver.drain (Driver.make step policy) ~on_row:ignore with
   | Ok () -> ()
   | Error _ -> (* the abandon rung absorbs, never stops *) assert false);
   match t.finished with Some o -> o | None -> assert false

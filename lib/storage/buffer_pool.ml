@@ -21,9 +21,8 @@ type shard_metrics = {
 
 (* One independent LRU domain.  Every piece of state the monolithic
    pool used to keep globally — residency table, LRU list, count,
-   probe counter, eviction stamp — lives per shard, so shards never
-   contend: an eviction in one shard cannot invalidate a handle or
-   reorder recency in another. *)
+   probe counter — lives per shard, so shards never contend: an
+   eviction in one shard cannot reorder recency in another. *)
 type shard = {
   sh_cap : int;
   sh_table : (block, node) Hashtbl.t;
@@ -31,7 +30,6 @@ type shard = {
   mutable sh_tail : node option; (* least recently used *)
   mutable sh_count : int;
   mutable sh_lookups : int; (* residency probes, charged accesses only *)
-  mutable sh_stamp : int; (* bumped on any eviction; invalidates handles *)
   sh_metrics : shard_metrics;
 }
 
@@ -48,15 +46,6 @@ type t = {
   manifest : Manifest.t;  (* durable metadata root (survives crashes) *)
 }
 
-(* A handle pins no memory: it remembers the LRU node a lookup found
-   (or created), the shard that owns it, and the shard's eviction
-   stamp at that moment.  [retouch] replays the hit path through the
-   node, skipping the hash probe — valid only while no eviction has
-   happened in that shard since, which the stamp check enforces
-   conservatively (any eviction in the shard invalidates every
-   outstanding handle on it; evictions in other shards do not). *)
-type handle = { h_node : node; h_shard : shard; h_stamp : int }
-
 let make_shard ~cap k =
   {
     sh_cap = cap;
@@ -65,7 +54,6 @@ let make_shard ~cap k =
     sh_tail = None;
     sh_count = 0;
     sh_lookups = 0;
-    sh_stamp = 0;
     sh_metrics =
       {
         m_lookups = Printf.sprintf "pool.shard%d.lookups" k;
@@ -209,7 +197,6 @@ let evict_lru t sh =
       unlink sh n;
       Hashtbl.remove sh.sh_table n.block;
       sh.sh_count <- sh.sh_count - 1;
-      sh.sh_stamp <- sh.sh_stamp + 1;
       record t "evict" n.block.file;
       record_shard t sh.sh_metrics.m_evict
 
@@ -218,8 +205,7 @@ let make_resident t sh block =
   if sh.sh_count >= sh.sh_cap then evict_lru t sh;
   Hashtbl.replace sh.sh_table block n;
   push_front sh n;
-  sh.sh_count <- sh.sh_count + 1;
-  n
+  sh.sh_count <- sh.sh_count + 1
 
 let probe t sh block =
   sh.sh_lookups <- sh.sh_lookups + 1;
@@ -227,25 +213,22 @@ let probe t sh block =
   record_shard t sh.sh_metrics.m_lookups;
   Hashtbl.find_opt sh.sh_table block
 
-let hit_charges t sh meter block =
-  Cost.charge_logical meter;
-  Cost.charge_logical t.global;
-  record t "hit" block.file;
-  record_shard t sh.sh_metrics.m_hit;
-  inject t
-    (fun inj ->
-      Fault.on_read inj ~cls:(file_class t block.file) ~file:block.file
-        ~index:block.index ~hit:true)
-    block
-
-let touch_read_h t meter block =
+let touch_read t meter block =
   let sh = shard_of t block in
   match probe t sh block with
   | Some n ->
       unlink sh n;
       push_front sh n;
-      hit_charges t sh meter block;
-      (`Hit, { h_node = n; h_shard = sh; h_stamp = sh.sh_stamp })
+      Cost.charge_logical meter;
+      Cost.charge_logical t.global;
+      record t "hit" block.file;
+      record_shard t sh.sh_metrics.m_hit;
+      inject t
+        (fun inj ->
+          Fault.on_read inj ~cls:(file_class t block.file) ~file:block.file
+            ~index:block.index ~hit:true)
+        block;
+      `Hit
   | None ->
       (* The I/O attempt is charged whether or not it succeeds; on a
          fault the block does *not* become resident (the read failed,
@@ -259,24 +242,10 @@ let touch_read_h t meter block =
           Fault.on_read inj ~cls:(file_class t block.file) ~file:block.file
             ~index:block.index ~hit:false)
         block;
-      let n = make_resident t sh block in
-      (`Miss, { h_node = n; h_shard = sh; h_stamp = sh.sh_stamp })
+      make_resident t sh block;
+      `Miss
 
-let touch_read t meter block = fst (touch_read_h t meter block)
 let touch t meter block = ignore (touch_read t meter block)
-
-let retouch t meter h =
-  if h.h_stamp <> h.h_shard.sh_stamp then false
-  else begin
-    (* Replay the hit path exactly — LRU bump, charges, metrics and
-       injector stream all identical to [touch_read] on a resident
-       block — minus the hash probe, which is the point. *)
-    let n = h.h_node in
-    unlink h.h_shard n;
-    push_front h.h_shard n;
-    hit_charges t h.h_shard meter n.block;
-    true
-  end
 
 let write t meter block =
   let sh = shard_of t block in
@@ -293,7 +262,7 @@ let write t meter block =
   | Some n ->
       unlink sh n;
       push_front sh n
-  | None -> ignore (make_resident t sh block)
+  | None -> make_resident t sh block
 
 let is_resident t block = Hashtbl.mem (shard_of t block).sh_table block
 
@@ -305,7 +274,6 @@ let evict_file t file =
           (fun b n acc -> if b.file = file then n :: acc else acc)
           sh.sh_table []
       in
-      if doomed <> [] then sh.sh_stamp <- sh.sh_stamp + 1;
       List.iter
         (fun n ->
           unlink sh n;
@@ -320,8 +288,7 @@ let flush t =
       Hashtbl.reset sh.sh_table;
       sh.sh_head <- None;
       sh.sh_tail <- None;
-      sh.sh_count <- 0;
-      sh.sh_stamp <- sh.sh_stamp + 1)
+      sh.sh_count <- 0)
     t.shards
 
 let reshard t ~shards =
@@ -329,11 +296,9 @@ let reshard t ~shards =
   if t.cap < shards then invalid_arg "Buffer_pool.reshard: capacity < shards";
   (* Residency is dropped (a flush), never migrated: redistributing
      nodes would have to invent a cross-shard recency order that no
-     access pattern produced.  Outstanding handles die with their old
-     shards — the stamp bump below is what [retouch] checks. *)
+     access pattern produced. *)
   t.retired_lookups <-
     Array.fold_left (fun acc sh -> acc + sh.sh_lookups) t.retired_lookups t.shards;
-  Array.iter (fun sh -> sh.sh_stamp <- sh.sh_stamp + 1) t.shards;
   t.shards <- make_shards ~capacity:t.cap shards
 
 let lookups t =

@@ -14,10 +14,10 @@
     The pool is split into [shards] independent LRU domains; a block
     maps to its shard by a deterministic mix of [{file; index}]
     (stable across OCaml versions — no [Hashtbl.hash]).  Each shard
-    owns its slice of the capacity, its own LRU list, residency table,
-    eviction stamp and lookup counter, so eviction pressure in one
-    shard never invalidates handles or reorders recency in another —
-    the structural prerequisite for thousands of concurrent sessions.
+    owns its slice of the capacity, its own LRU list, residency table
+    and lookup counter, so eviction pressure in one shard never
+    reorders recency in another — the structural prerequisite for
+    thousands of concurrent sessions.
 
     Sharding steers contention and cost, never results: which blocks
     are resident (and therefore hit/miss charges, eviction order, and
@@ -64,11 +64,10 @@ val shard_lookup_balance : t -> float
 
 val reshard : t -> shards:int -> unit
 (** Repartition the pool into [shards] domains.  Residency is dropped
-    (equivalent to {!flush} — cost-only, results unaffected), every
-    outstanding {!handle} is invalidated, and per-shard lookup
-    counters restart at zero ({!lookups} stays monotone: pre-reshard
-    probes are retired into the pool total).  Raises
-    [Invalid_argument] on [shards < 1] or [capacity < shards]. *)
+    (equivalent to {!flush} — cost-only, results unaffected), and
+    per-shard lookup counters restart at zero ({!lookups} stays
+    monotone: pre-reshard probes are retired into the pool total).
+    Raises [Invalid_argument] on [shards < 1] or [capacity < shards]. *)
 
 val fresh_file : t -> int
 (** Allocate a new file id (heap, index, or spill space). *)
@@ -111,40 +110,12 @@ val touch_read : t -> Cost.t -> block -> [ `Hit | `Miss ]
     read.  Checksummed stores verify page integrity on [`Miss] (a cold
     read is the moment corruption would be observed). *)
 
-(** {1 Lookup handles} — batch-quantum repeat-access fast path.
-
-    Every [touch_read] probes the residency hash table; a batched
-    cursor touching the same page many times inside one quantum pays
-    that probe each time even though nothing moved.  A {!handle}
-    remembers the LRU node a lookup resolved to, and {!retouch}
-    replays the {e hit} path through it — same LRU bump, same logical
-    charge to the meter and the global meter, same metrics events,
-    same fault-injector stream — while skipping the probe.  Handles
-    are invalidated conservatively by {e any} eviction in the owning
-    shard ([retouch] returns [false]; redo the full lookup) — evictions
-    in other shards leave them valid — so they are only worth holding
-    across a short window such as one [next_batch] call. *)
-
-type handle
-
-val touch_read_h : t -> Cost.t -> block -> [ `Hit | `Miss ] * handle
-(** Exactly [touch_read], also returning a handle for the (now
-    resident) block.  No handle is produced on a faulted read (the
-    exception propagates before residency). *)
-
-val retouch : t -> Cost.t -> handle -> bool
-(** Re-access the handled block as a hit without probing the table.
-    [false] if an eviction in the block's shard invalidated the handle
-    since it was made (nothing charged; caller falls back to
-    [touch_read_h]).  May raise {!Fault.Injected} exactly as a hit
-    access would. *)
-
 val lookups : t -> int
 (** Residency-table probes performed so far, summed across shards and
-    monotone across {!reshard} (charged read and write accesses only;
-    [retouch] does not probe).  Distinct from charged accesses: this
-    is the in-memory bookkeeping the batch-quantum cursors amortize,
-    also exported per file as the [pool.lookups] metric. *)
+    monotone across {!reshard} (charged read and write accesses only).
+    Distinct from charged accesses: this is the in-memory bookkeeping
+    of the pool itself, also exported per file as the [pool.lookups]
+    metric. *)
 
 val write : t -> Cost.t -> block -> unit
 (** Access a block for writing: charges a block write; the block

@@ -122,54 +122,6 @@ let fetch t meter (rid : Rid.t) =
   | None -> None
   | Some page -> decode_slot page meter rid
 
-(* --- cached fetch -----------------------------------------------------
-   Per-RID fetchers (Fscan record fetches, the final stage) often hit
-   the same heap page many times in a row — clustered indexes and
-   sorted RID lists guarantee it.  A fetch cache remembers the last
-   page together with its pool {!Buffer_pool.handle}; a repeat fetch
-   re-accesses via {!Buffer_pool.retouch} — identical charges, metrics
-   and injector stream, one fewer residency probe.  The cache is only
-   sound while its handle is: holders must [invalidate_cache] whenever
-   control leaves their batch quantum. *)
-
-type fetch_cache = {
-  mutable entry : (int * page * Buffer_pool.handle) option; (* page_no *)
-}
-
-let fetch_cache () = { entry = None }
-let invalidate_cache c = c.entry <- None
-
-let get_page_h t meter page_no =
-  if page_no < 0 || page_no >= Dynarray.length t.pages then None
-  else begin
-    let page = Dynarray.get t.pages page_no in
-    let kind, h = Buffer_pool.touch_read_h t.pool meter (block t page_no) in
-    (match kind with
-    | `Hit -> ()
-    | `Miss -> (
-        match Buffer_pool.injector t.pool with
-        | None -> ()
-        | Some inj -> audit t page page_no inj));
-    Some (page, h)
-  end
-
-let fetch_via t meter cache (rid : Rid.t) =
-  let cached =
-    match cache.entry with
-    | Some (page_no, page, h) when page_no = rid.page ->
-        if Buffer_pool.retouch t.pool meter h then Some page else None
-    | _ -> None
-  in
-  match cached with
-  | Some page -> decode_slot page meter rid
-  | None -> (
-      cache.entry <- None;
-      match get_page_h t meter rid.page with
-      | None -> None
-      | Some (page, h) ->
-          cache.entry <- Some (rid.page, page, h);
-          decode_slot page meter rid)
-
 let delete t meter (rid : Rid.t) =
   match get_page t meter rid.page with
   | None -> false

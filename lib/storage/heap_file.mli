@@ -28,29 +28,6 @@ val fetch : t -> Cost.t -> Rid.t -> Row.t option
 (** Random fetch by RID.  Charges one page access.  [None] if deleted
     or out of range. *)
 
-(** {1 Cached fetch} — batch-quantum page-locality fast path.
-
-    Clustered fetches and sorted RID lists hit the same page many
-    times in a row; a fetch cache carries the last page's pool handle
-    so repeat fetches re-access it via {!Buffer_pool.retouch}:
-    charges, metrics, and the fault-injector stream are identical to
-    {!fetch}, only the residency probe is skipped.  Holders must
-    invalidate the cache whenever control leaves their batch quantum
-    (another cursor may evict the page meanwhile); a stale handle
-    falls back to the full lookup automatically. *)
-
-type fetch_cache
-
-val fetch_cache : unit -> fetch_cache
-(** A fresh (empty) cache. *)
-
-val invalidate_cache : fetch_cache -> unit
-
-val fetch_via : t -> Cost.t -> fetch_cache -> Rid.t -> Row.t option
-(** [fetch], resolving the page through [cache] when it still holds
-    the RID's page with a valid handle.  Updates the cache to the
-    fetched page otherwise. *)
-
 val delete : t -> Cost.t -> Rid.t -> bool
 (** Tombstone the record; [false] if absent. *)
 

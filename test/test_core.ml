@@ -260,6 +260,48 @@ let test_retrieval_order_by () =
   check "sorted by Y" true (mono ys);
   check "non-empty" true (ys <> [])
 
+(* ORDER BY trusts the index the static Sscan actually scans.  Two
+   covering indexes: AS_IDX (A,S) provides the order but its fanout-8
+   tree is dearer to scan than ABS_IDX (A,B,S), which does not.  With
+   background refinement off the cheaper ABS_IDX runs as a static
+   Sscan, so its (A,B,S) delivery order must be post-sorted. *)
+let test_retrieval_order_by_sscan_choice () =
+  let schema =
+    Schema.make
+      [
+        Schema.col "A" Value.T_int; Schema.col "B" Value.T_int; Schema.col "S" Value.T_str;
+      ]
+  in
+  let pool = Rdb_storage.Buffer_pool.create ~capacity:1024 () in
+  let table = Table.create ~page_bytes:1024 pool ~name:"ABS" schema in
+  let rng = Rdb_util.Prng.create ~seed:3 in
+  for i = 0 to 3999 do
+    ignore
+      (Table.insert table
+         [|
+           Value.int (Rdb_util.Prng.int rng 10);
+           Value.int (Rdb_util.Prng.int rng 1000);
+           Value.str (Printf.sprintf "s%05d" ((i * 7919) mod 4000));
+         |])
+  done;
+  ignore (Table.create_index table ~fanout:8 ~name:"AS_IDX" ~columns:[ "A"; "S" ] ());
+  ignore
+    (Table.create_index table ~fanout:256 ~name:"ABS_IDX" ~columns:[ "A"; "B"; "S" ] ());
+  let config = { R.default_config with R.bgr_enabled = false } in
+  let rows, s =
+    R.run ~config table
+      (R.request ~order_by:[ "A"; "S" ] ~projection:[ "A"; "S" ]
+         Predicate.("A" =% Value.int 5))
+  in
+  check "static Sscan" true (s.R.tactic = R.Static_sscan);
+  check "every A = 5 row" true
+    (List.length rows = List.length (oracle table Predicate.("A" =% Value.int 5)));
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> Row.compare_at [| 0; 2 |] a b <= 0 && sorted rest
+    | _ -> true
+  in
+  check "sorted by (A,S)" true (sorted rows)
+
 let test_retrieval_limit_stops_early () =
   let table = fixture () in
   let open Predicate in
@@ -693,6 +735,8 @@ let () =
         [
           Alcotest.test_case "correct across goals" `Slow test_retrieval_correct_across_goals;
           Alcotest.test_case "order by" `Quick test_retrieval_order_by;
+          Alcotest.test_case "order by trusts the scanned index" `Quick
+            test_retrieval_order_by_sscan_choice;
           Alcotest.test_case "limit stops early" `Quick test_retrieval_limit_stops_early;
           Alcotest.test_case "empty range cancelled" `Quick test_retrieval_empty_range_cancelled;
           Alcotest.test_case "false restriction" `Quick test_retrieval_false_restriction;

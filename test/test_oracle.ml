@@ -118,18 +118,11 @@ let raw_tscan table pred =
 
 (* Pump a composed tactic to exhaustion through the shared driver
    under a [retry-transient] Policy ladder — the oracle-side twin of
-   how every engine loop drives its cursors. *)
-let drain_tactic m tac =
+   how every engine loop drives its steps. *)
+let drain_tactic tac =
   let out = ref [] in
-  let d =
-    Driver.make
-      (Scan.cursor_of_step ~cost:(fun () -> Rdb_storage.Cost.total m) tac)
-      Tactic.Policy.(seal (stack [ retry_transient ]))
-  in
-  (match
-     Driver.drain d ~budget:infinity
-       ~on_rows:(fun b -> List.iter (fun (_, r) -> out := r :: !out) b.Scan.rows)
-   with
+  let d = Driver.make tac Tactic.Policy.(seal (stack [ retry_transient ])) in
+  (match Driver.drain d ~on_row:(fun r -> out := r :: !out) with
   | Ok () -> ()
   | Error _ -> ());
   List.rev !out
@@ -147,7 +140,7 @@ let hybrid_strategy table bound () =
   in
   let fscan = Fscan.create table m cand ~restriction:bound in
   let to_tscan _ = let t = Tscan.create table m bound in fun () -> Tscan.step t in
-  drain_tactic m
+  drain_tactic
     Tactic.(distinct (Hashtbl.create 64) (orelse (fun () -> Fscan.step fscan) to_tscan))
 
 (* The seed composes 2–3 random combinators around a Tscan; each wrap
@@ -177,9 +170,10 @@ let random_config rng =
         memory_budget = 25 + Prng.int rng 1000;
         simultaneous = Prng.bool rng;
       };
-    R.speed_ratio = 0.25 +. Prng.float rng 3.0;
-    R.batch_budget =
-      (match Prng.int rng 4 with 0 -> 0.0 | 1 -> 1.0 | 2 -> 7.0 | _ -> 64.0);
+    R.speed_ratio =
+      (* the removed batch budget's draw (fields run right to left): cases unchanged *)
+      (ignore (Prng.int rng 4);
+       0.25 +. Prng.float rng 3.0);
     R.feedback_rate =
       (match Prng.int rng 3 with 0 -> 0.0 | 1 -> 0.25 +. Prng.float rng 0.5 | _ -> 1.0);
   }
@@ -212,7 +206,7 @@ let strategies ~note rng table pred env =
       fun () ->
         let m = Rdb_storage.Cost.create () in
         let t = Tscan.create table m bound in
-        drain_tactic m (wrap_random rng (fun () -> Tscan.step t)) );
+        drain_tactic (wrap_random rng (fun () -> Tscan.step t)) );
     ("raw tscan", fun () -> raw_tscan table bound);
     ("static mean-point [SACL79]", fun () ->
         let plan = SO.compile table pred ~env:[] in

@@ -211,25 +211,39 @@ let test_distinct () =
     (stream tac2 = [ Scan.Continue; deliver 4; Scan.Done ])
 
 (* ------------------------------------------------------------------ *)
-(* with_policy: the cursor transformer                                 *)
+(* Driver: one step under a sealed policy                              *)
 
-let cursor_of tac = Scan.cursor_of_step ~cost:(fun () -> 0.0) tac
-
-let test_with_policy_passthrough () =
-  let c =
-    Tactic.with_policy
-      Tactic.Policy.(seal (stack [ retry_transient ]))
-      (cursor_of (of_script [ deliver 1; Scan.Continue; deliver 2 ]))
+(* Step [d] until it is exhausted or stopped (at most [n] steps),
+   recording every progress report. *)
+let drive ?(n = 64) d =
+  let rec go k acc =
+    if k >= n then List.rev acc
+    else
+      match Driver.step d with
+      | (Driver.Stepped Scan.Done | Driver.Stopped _) as p -> List.rev (p :: acc)
+      | p -> go (k + 1) (p :: acc)
   in
-  let b = c.Scan.next_batch ~budget:infinity in
-  check "rows pass through in order" true
-    (List.map snd b.Scan.rows = [ row 1; row 2 ]);
-  check "exhaustion surfaces" true (b.Scan.status = Scan.Exhausted)
+  go 0 []
 
-let test_with_policy_stop_and_consec () =
-  (* stop on the second *consecutive* fault: the embedded driver owns
-     the count and it must persist across batches *)
-  let stops = ref 0 in
+let test_driver_passthrough () =
+  let d =
+    Driver.make
+      (of_script [ deliver 1; Scan.Continue; deliver 2 ])
+      Tactic.Policy.(seal (stack [ retry_transient ]))
+  in
+  check "steps pass through in order" true
+    (drive d
+    = [
+        Driver.Stepped (deliver 1);
+        Driver.Stepped Scan.Continue;
+        Driver.Stepped (deliver 2);
+        Driver.Stepped Scan.Done;
+      ])
+
+let test_driver_stop_and_consec () =
+  (* retry a first consecutive fault, stop on the second: a successful
+     step in between resets the count, and the driver counts afresh
+     after a stop *)
   let policy =
     Tactic.Policy.(
       seal
@@ -240,37 +254,47 @@ let test_with_policy_stop_and_consec () =
              give_up ~name:"stop";
            ]))
   in
-  let c =
-    Tactic.with_policy policy
-      (cursor_of
-         (of_script
-            [ deliver 1; Scan.Failed (fault 1); Scan.Failed (fault 2); deliver 2 ]))
+  let d =
+    Driver.make
+      (of_script
+         [
+           Scan.Failed (fault 1);
+           deliver 1;
+           Scan.Failed (fault 2);
+           deliver 2;
+           Scan.Failed (fault 3);
+           Scan.Failed (fault 4);
+           Scan.Failed (fault 5);
+           deliver 3;
+         ])
+      policy
   in
-  let rec pump n =
-    if n > 12 then check "terminates" true false
-    else
-      match (c.Scan.next_batch ~budget:0.0).Scan.status with
-      | Scan.Faulted _ -> incr stops
-      | Scan.Exhausted -> ()
-      | Scan.More -> pump (n + 1)
-  in
-  pump 0;
-  check_int "stopped on the second consecutive fault" 1 !stops
+  let first = drive d in
+  check "a success between faults resets the count" true
+    (first
+    = [
+        Driver.Settled;
+        Driver.Stepped (deliver 1);
+        Driver.Settled;
+        Driver.Stepped (deliver 2);
+        Driver.Settled;
+        Driver.Stopped (fault 4);
+      ]);
+  check "the count restarts after a stop" true
+    (drive d = [ Driver.Settled; Driver.Stepped (deliver 3); Driver.Stepped Scan.Done ])
 
-let test_with_policy_absorb () =
+let test_driver_absorb () =
   let absorbed = ref [] in
-  let c =
-    Tactic.with_policy
+  let d =
+    Driver.make
+      (of_script [ deliver 1; Scan.Failed (fault 5); deliver 2 ])
       Tactic.Policy.(
         seal (stack [ absorb_with ~name:"note" (fun f -> absorbed := f :: !absorbed) ]))
-      (cursor_of (of_script [ deliver 1; Scan.Failed (fault 5); deliver 2 ]))
   in
-  let rec pump () =
-    match (c.Scan.next_batch ~budget:infinity).Scan.status with
-    | Scan.More -> pump ()
-    | s -> s
-  in
-  check "absorbed faults keep the cursor pumping" true (pump () = Scan.Exhausted);
+  let rows = ref [] in
+  check "absorbed faults keep the driver stepping" true
+    (Driver.drain d ~on_row:(fun r -> rows := r :: !rows) = Ok ());
+  check "rows around the absorbed fault" true (List.rev !rows = [ row 1; row 2 ]);
   check "the absorb action saw the fault" true (!absorbed = [ fault 5 ])
 
 (* ------------------------------------------------------------------ *)
@@ -430,53 +454,6 @@ let prop_orelse_keeps_left_rows =
       in
       delivered composed = expected_rows)
 
-let prop_with_policy_matches_driver =
-  QCheck.Test.make
-    ~name:"with_policy batches = pumping Driver.make directly"
-    ~count:(qcount 200) script_arb
-    (fun s ->
-      let policy () =
-        Tactic.Policy.(
-          seal (stack [ retry_transient; give_up ~name:"stop" ]))
-      in
-      let budgets = [ 0.0; infinity ] in
-      List.for_all
-        (fun budget ->
-          let via_cursor =
-            let c = Tactic.with_policy (policy ()) (cursor_of (of_script s)) in
-            let rec go n acc =
-              if n > 200 then List.rev acc
-              else
-                let b = c.Scan.next_batch ~budget in
-                let acc = (b.Scan.rows, b.Scan.steps) :: acc in
-                match b.Scan.status with
-                | Scan.More -> go (n + 1) acc
-                | Scan.Exhausted | Scan.Faulted _ -> List.rev acc
-            in
-            go 0 []
-          in
-          let via_driver =
-            let d = Driver.make (cursor_of (of_script s)) (policy ()) in
-            let out = ref [] in
-            let rec go n =
-              if n > 200 then ()
-              else
-                let captured = ref ([], 0) in
-                let p =
-                  Driver.pump d ~budget ~on_rows:(fun b ->
-                      captured := (b.Scan.rows, b.Scan.steps))
-                in
-                out := !captured :: !out;
-                match p with
-                | Driver.More -> go (n + 1)
-                | Driver.Exhausted | Driver.Stopped _ -> ()
-            in
-            go 0;
-            List.rev !out
-          in
-          via_cursor = via_driver)
-        budgets)
-
 let () =
   Alcotest.run "rdb_tactic"
     [
@@ -495,12 +472,11 @@ let () =
           Alcotest.test_case "limit" `Quick test_limit;
           Alcotest.test_case "distinct" `Quick test_distinct;
         ] );
-      ( "with_policy",
+      ( "step_driver",
         [
-          Alcotest.test_case "pass-through" `Quick test_with_policy_passthrough;
-          Alcotest.test_case "stop and consec across batches" `Quick
-            test_with_policy_stop_and_consec;
-          Alcotest.test_case "absorb keeps pumping" `Quick test_with_policy_absorb;
+          Alcotest.test_case "pass-through" `Quick test_driver_passthrough;
+          Alcotest.test_case "stop and consec" `Quick test_driver_stop_and_consec;
+          Alcotest.test_case "absorb keeps stepping" `Quick test_driver_absorb;
         ] );
       ( "policy",
         [
@@ -515,6 +491,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_then_is_concat;
           QCheck_alcotest.to_alcotest prop_identity_wraps;
           QCheck_alcotest.to_alcotest prop_orelse_keeps_left_rows;
-          QCheck_alcotest.to_alcotest prop_with_policy_matches_driver;
         ] );
     ]
